@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,6 @@ from ramplab.config import (
 )
 from ramplab.network import CheckpointError, QNetwork, network_from_checkpoint, save_checkpoint
 from ramplab.representation import grid_width
-from ramplab.rewards import compute_reward
 from ramplab.runs import (
     MetricsWriter,
     summarize_final_window,
@@ -29,16 +29,15 @@ from ramplab.runs import (
     write_metrics_csv,
     write_run_info,
 )
-from ramplab.simulation import TRACE_FIELDS, episode_done, reset, step, trace_rows
+from ramplab.simulation import TRACE_FIELDS, reset, trace_rows
 from ramplab.trainer import (
     METRICS_COLUMNS,
     Trainer,
     evaluate_policy,
     greedy_actions,
     metrics_csv_row,
-    snapshot_flags,
+    rollout,
 )
-from ramplab.representation import build_state
 
 TRACE_COLUMNS = TRACE_FIELDS + ("action", "r_speed", "r_collision", "r_intention", "r_total")
 
@@ -187,23 +186,15 @@ def cmd_trace(args) -> int:
     net = network_from_checkpoint(args.checkpoint)
     _check_net_matches(net, cfg)
     seed = args.seed if args.seed is not None else 0
-    with_features, with_adjacency = snapshot_flags(net.variant)
 
     world = reset(cfg.scenario, seed)
     all_rows: list[dict] = []
     for row in trace_rows(world):
         all_rows.append({**row, "action": "", "r_speed": "",
                          "r_collision": "", "r_intention": "", "r_total": ""})
-    return_total = 0.0
-    while not episode_done(world, cfg.scenario):
-        snap = build_state(world, cfg.scenario, cfg.representation,
-                           with_features=with_features, with_adjacency=with_adjacency)
-        commands, action_idx = greedy_actions(net, snap, world)
-        acted = {vid: int(action_idx[row]) for row, vid in enumerate(snap.cav_ids)
-                 if vid in commands}
-        events = step(world, commands, cfg.scenario)
-        reward = compute_reward(world, events, cfg.training.weights, cfg.scenario)
-        return_total += reward.total
+
+    def record(s, actions, reward, s_next, done) -> None:
+        acted = {vid: int(actions[row]) for row, vid in enumerate(s.cav_ids) if s.alive[row]}
         for i, row in enumerate(trace_rows(world)):
             # reward cells appear once per step, on its first row, so the
             # r_total column sums to the episode return
@@ -215,6 +206,9 @@ def cmd_trace(args) -> int:
                 "r_intention": repr(reward.intention) if i == 0 else "",
                 "r_total": repr(reward.total) if i == 0 else "",
             })
+
+    return_total, *_ = rollout(world, cfg, net.variant,
+                               functools.partial(greedy_actions, net), record)
     out_path = Path(args.out or "trace.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)

@@ -9,10 +9,11 @@ Three variants share one action-value interface (one 9-wide Q row per CAV):
 * ``madqn``          a plain MLP on each CAV's node features joined with its
                      flattened grid row.
 
-Training forwards stack a whole batch into one graph: grid rows from all
-transitions form a single token matrix with a block-diagonal additive
-attention mask, and adjacency blocks are normalised per scene then placed on
-a block diagonal, so cross-scene mixing is structurally impossible.
+Forwards take a :class:`~ramplab.representation.StateBatch` and run it as
+one graph: grid rows from all scenes form a single token matrix with a
+block-diagonal additive attention mask, and adjacency blocks are normalised
+per scene then placed on a block diagonal, so cross-scene mixing is
+structurally impossible.
 
 Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
 plus a little-endian float32 blob and round-trip bit-exactly.
@@ -43,7 +44,13 @@ from ramplab.autodiff import (
     softmax_rows,
 )
 from ramplab.config import ExperimentConfig, NetworkConfig
-from ramplab.representation import StateSnapshot, feature_width, grid_width
+from ramplab.representation import (
+    StateBatch,
+    StateSnapshot,
+    feature_width,
+    grid_width,
+    stack_states,
+)
 
 MASKED_SCORE = -1e9
 N_ACTIONS = 9
@@ -84,9 +91,6 @@ class ParamStore:
         for name, tensor in self.params.items():
             tensor.data[...] = other.params[name].data
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: tensor.data.copy() for name, tensor in self.params.items()}
-
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         missing = sorted(self.params.keys() - arrays.keys())
         extra = sorted(arrays.keys() - self.params.keys())
@@ -99,6 +103,8 @@ class ParamStore:
                     f"shape mismatch for {name!r}: checkpoint {tuple(arr.shape)}, "
                     f"network {tensor.data.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"non-finite values in parameter {name!r}")
             tensor.data[...] = arr.astype(self.dtype)
 
     def check_finite_grads(self) -> None:
@@ -241,6 +247,11 @@ def block_attention_mask(n_scenes: int, tokens_per_scene: int, dtype) -> np.ndar
     return mask
 
 
+def flat_rows(stacked: np.ndarray, dtype) -> Tensor:
+    """(B, k, w) per-scene rows as one (B*k, w) input, scene-major."""
+    return Tensor(stacked.reshape(-1, stacked.shape[-1]).astype(dtype, copy=False))
+
+
 def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
     size = sum(b.shape[0] for b in blocks)
     out = np.zeros((size, size), dtype=blocks[0].dtype)
@@ -280,12 +291,12 @@ class QNetwork:
 
     # -- forward ---------------------------------------------------------
 
-    def forward_batch(self, snaps: list[StateSnapshot]) -> Tensor:  # pragma: no cover
-        """Q rows for every CAV of every snapshot, stacked scene-major."""
+    def forward_batch(self, states: StateBatch) -> Tensor:  # pragma: no cover
+        """Q rows for every CAV of every stacked state, scene-major."""
         raise NotImplementedError
 
     def forward(self, snap: StateSnapshot) -> Tensor:
-        return self.forward_batch([snap])
+        return self.forward_batch(stack_states([snap]))
 
     def q_values(self, snap: StateSnapshot) -> np.ndarray:
         """Inference-only Q table (m x 9) for one snapshot."""
@@ -326,9 +337,6 @@ class QNetwork:
             ))
         self.transformer = TransformerParams(embed_w, embed_b, blocks)
 
-    def _stacked_sr(self, snaps: list[StateSnapshot]) -> Tensor:
-        return Tensor(np.vstack([s.sr for s in snaps]).astype(self.store.dtype, copy=False))
-
     # -- persistence -----------------------------------------------------
 
     def meta(self) -> dict:
@@ -364,20 +372,16 @@ class GitsrNetwork(QNetwork):
         ]
         self._init_qhead(rng, 2 * cfg.d_model)
 
-    def forward_batch(self, snaps: list[StateSnapshot]) -> Tensor:
+    def forward_batch(self, states: StateBatch) -> Tensor:
         dtype = self.store.dtype
-        m = snaps[0].n_cavs
-        mask = block_attention_mask(len(snaps), m, dtype)
-        x = transformer_encode(self._stacked_sr(snaps), self.transformer,
+        n_scenes, m, _ = states.sr.shape
+        mask = block_attention_mask(n_scenes, m, dtype)
+        x = transformer_encode(flat_rows(states.sr, dtype), self.transformer,
                                self.net_cfg.n_heads, mask)
-        feats = Tensor(np.vstack([s.features for s in snaps]).astype(dtype, copy=False))
-        e_norm = block_diag([gcn_normalize(s.adjacency.astype(dtype)) for s in snaps])
-        h = gcn_forward(feats, e_norm, self.gcn_weights)
-        n = snaps[0].features.shape[0]
-        cav_rows = np.concatenate([
-            b * n + np.asarray(s.cav_ids, dtype=np.intp)
-            for b, s in enumerate(snaps)
-        ])
+        e_norm = block_diag([gcn_normalize(a.astype(dtype)) for a in states.adjacency])
+        h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights)
+        n = states.features.shape[1]
+        cav_rows = (np.arange(n_scenes)[:, None] * n + states.cav_ids).reshape(-1)
         return q_head(x, h, cav_rows, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
@@ -388,10 +392,11 @@ class TransformerOnlyNetwork(QNetwork):
         self._init_transformer(rng)
         self._init_qhead(rng, self.net_cfg.d_model)
 
-    def forward_batch(self, snaps: list[StateSnapshot]) -> Tensor:
-        mask = block_attention_mask(len(snaps), snaps[0].n_cavs, self.store.dtype)
-        x = transformer_encode(self._stacked_sr(snaps), self.transformer,
-                               self.net_cfg.n_heads, mask)
+    def forward_batch(self, states: StateBatch) -> Tensor:
+        dtype = self.store.dtype
+        n_scenes, m, _ = states.sr.shape
+        x = transformer_encode(flat_rows(states.sr, dtype), self.transformer,
+                               self.net_cfg.n_heads, block_attention_mask(n_scenes, m, dtype))
         return q_head(x, None, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
@@ -404,12 +409,10 @@ class BaselineNetwork(QNetwork):
     def _build(self, rng: np.random.Generator) -> None:
         self._init_qhead(rng, self.feat_width + self.input_width)
 
-    def forward_batch(self, snaps: list[StateSnapshot]) -> Tensor:
-        dtype = self.store.dtype
-        rows = np.vstack([
-            np.hstack([s.features[list(s.cav_ids)], s.sr]) for s in snaps
-        ]).astype(dtype, copy=False)
-        return q_head(Tensor(rows), None, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
+    def forward_batch(self, states: StateBatch) -> Tensor:
+        own = np.take_along_axis(states.features, states.cav_ids[:, :, None], axis=1)
+        rows = flat_rows(np.concatenate([own, states.sr], axis=2), self.store.dtype)
+        return q_head(rows, None, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
 _VARIANTS = {
@@ -463,22 +466,26 @@ def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]
         raise CheckpointError(f"no checkpoint manifest at {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint manifest: {exc}") from exc
     blob = (directory / BLOB_NAME).read_bytes()
-    itemsize = np.dtype(manifest["dtype"]).itemsize
-    arrays = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        start = entry["offset"]
-        stop = start + count * itemsize
-        if stop > len(blob):
-            raise CheckpointError(f"checkpoint blob truncated at parameter {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
-            blob[start:stop], dtype=manifest["dtype"]
-        ).reshape(shape)
-    return manifest["meta"], arrays
+    try:
+        dtype = np.dtype(manifest["dtype"])
+        if dtype.kind != "f":
+            raise TypeError(f"parameter dtype {dtype} is not floating point")
+        arrays = {}
+        for entry in manifest["params"]:
+            shape = tuple(entry["shape"])
+            start = entry["offset"]
+            if type(start) is not int or start < 0:
+                raise TypeError(f"offset {start!r} is not a non-negative integer")
+            stop = start + int(np.prod(shape)) * dtype.itemsize
+            if stop > len(blob):
+                raise CheckpointError(f"checkpoint blob truncated at parameter {entry['name']!r}")
+            arrays[entry["name"]] = np.frombuffer(blob[start:stop], dtype=dtype).reshape(shape)
+        return manifest["meta"], arrays
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint manifest: {type(exc).__name__}: {exc}") from exc
 
 
 def network_from_checkpoint(directory: str | Path, dtype=np.float32) -> QNetwork:

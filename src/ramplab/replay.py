@@ -1,54 +1,101 @@
-"""FIFO experience replay with seeded uniform sampling."""
+"""FIFO experience replay in preallocated ring arrays, with seeded uniform
+sampling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ramplab.representation import StateSnapshot
+from ramplab.representation import StateBatch, StateSnapshot
 
 
 @dataclass
-class Transition:
-    """One stored step: snapshots, the per-CAV action indices actually taken
-    (filler for CAVs already inactive), the shared reward, and activity flags
-    at both ends."""
+class Batch:
+    """Stacked transitions: the states at both ends, the per-CAV action
+    indices actually taken (filler for CAVs already inactive), the shared
+    reward and whether the step ended the episode."""
 
-    s: StateSnapshot
-    actions: np.ndarray            # (m,) int action indices
-    reward: float
-    s_next: StateSnapshot
-    done: bool
-    active_at_s: np.ndarray        # (m,) bool
-    active_at_s_next: np.ndarray   # (m,) bool
+    s: StateBatch
+    actions: np.ndarray    # (B, m) int64
+    reward: np.ndarray     # (B,) float64
+    s_next: StateBatch
+    done: np.ndarray       # (B,) bool
+
+
+# Ring dtypes of the state fields other than float32; adjacency is 0/1.
+RING_DTYPES = {"cav_ids": np.intp, "alive": bool, "adjacency": bool}
 
 
 class ReplayBuffer:
-    """Ring buffer; at capacity the oldest transition is overwritten first."""
+    """Ring arrays sized for ``capacity`` transitions; at capacity the oldest
+    transition is overwritten first.
 
-    def __init__(self, capacity: int, seed: int):
+    ``shapes`` gives the state fields to keep and their per-state shapes (see
+    :func:`~ramplab.representation.snapshot_shapes`); each has one ring for s
+    and one for s_next.  With ``shared_rows`` (scene-centric grids: every
+    alive CAV's row is the same scene grid, and other rows are zero) the grid
+    is stored once per state and the rows are rebuilt on sampling.  The rings
+    come from ``np.zeros``, so their pages are touched only as the buffer fills.
+    """
+
+    def __init__(self, capacity: int, seed: int, shapes: dict[str, tuple[int, ...]],
+                 shared_rows: bool):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._storage: list[Transition] = []
-        self._cursor = 0
         self._rng = np.random.default_rng(seed)
+        self._adds = 0
+        self._shared_rows = shared_rows
+
+        if shared_rows:
+            shapes = {**shapes, "sr": shapes["sr"][1:]}   # one grid per state
+
+        def rings() -> dict[str, np.ndarray]:
+            return {name: np.zeros((capacity, *shape), dtype=RING_DTYPES.get(name, np.float32))
+                    for name, shape in shapes.items()}
+
+        self._s, self._s_next = rings(), rings()
+        self._actions = np.zeros((capacity, *shapes["alive"]), dtype=np.int64)
+        self._reward = np.zeros(capacity)
+        self._done = np.zeros(capacity, dtype=bool)
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return min(self._adds, self.capacity)
 
-    def add(self, transition: Transition) -> None:
-        if len(self._storage) < self.capacity:
-            self._storage.append(transition)
-        else:
-            self._storage[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+    def add(self, s: StateSnapshot, actions: np.ndarray, reward: float,
+            s_next: StateSnapshot, done: bool) -> None:
+        slot = self._adds % self.capacity
+        self._put(self._s, slot, s)
+        self._put(self._s_next, slot, s_next)
+        self._actions[slot] = actions
+        self._reward[slot] = reward
+        self._done[slot] = done
+        self._adds += 1
 
-    def sample(self, batch_size: int) -> list[Transition]:
+    def _put(self, rings: dict[str, np.ndarray], slot: int, snap: StateSnapshot) -> None:
+        for name, ring in rings.items():
+            value = getattr(snap, name)
+            if name == "sr" and self._shared_rows:
+                # the first alive row is the grid (all rows are zero if none is)
+                value = value[np.argmax(snap.alive)]
+            ring[slot] = value
+
+    def sample(self, batch_size: int) -> Batch:
         """Uniform sample without replacement."""
-        if batch_size > len(self._storage):
-            raise ValueError(
-                f"cannot sample {batch_size} from buffer of {len(self._storage)}"
-            )
-        idx = self._rng.choice(len(self._storage), size=batch_size, replace=False)
-        return [self._storage[i] for i in idx]
+        if batch_size > len(self):
+            raise ValueError(f"cannot sample {batch_size} from buffer of {len(self)}")
+        idx = self._rng.choice(len(self), size=batch_size, replace=False)
+        return Batch(
+            s=self._states(self._s, idx),
+            actions=self._actions[idx],
+            reward=self._reward[idx],
+            s_next=self._states(self._s_next, idx),
+            done=self._done[idx],
+        )
+
+    def _states(self, rings: dict[str, np.ndarray], idx: np.ndarray) -> StateBatch:
+        got = {name: ring[idx] for name, ring in rings.items()}
+        if self._shared_rows:
+            got["sr"] = np.where(got["alive"][:, :, None], got["sr"][:, None, :],
+                                 np.float32(0.0))
+        return StateBatch(**got)

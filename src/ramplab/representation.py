@@ -15,10 +15,8 @@ distances with 1.0 standing in for "no neighbour".
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -217,6 +215,45 @@ class StateSnapshot:
         return len(self.cav_ids)
 
 
+@dataclass
+class StateBatch:
+    """``B`` states stacked along a leading axis, as the networks take them:
+    ``sr`` (B, m, w), ``cav_ids`` and ``alive`` (B, m), ``features``
+    (B, n, f) and ``adjacency`` (B, n, n), None where the variant reads none."""
+
+    sr: np.ndarray
+    cav_ids: np.ndarray
+    alive: np.ndarray
+    features: np.ndarray | None = None
+    adjacency: np.ndarray | None = None
+
+
+def stack_states(snaps: list[StateSnapshot]) -> StateBatch:
+    """Snapshots of one scenario stacked along a new leading axis."""
+    def stacked(name):
+        values = [getattr(s, name) for s in snaps]
+        return None if values[0] is None else np.array(values)
+
+    return StateBatch(**{f.name: stacked(f.name) for f in fields(StateBatch)})
+
+
+def snapshot_shapes(
+    config: ScenarioConfig,
+    representation: str,
+    *,
+    with_features: bool = True,
+    with_adjacency: bool = True,
+) -> dict[str, tuple[int, ...]]:
+    """Shapes of the array fields :func:`build_state` fills, by field name."""
+    m, n = config.n_cav, config.n_cav + config.n_hdv
+    shapes = {"sr": (m, grid_width(config, representation)), "cav_ids": (m,), "alive": (m,)}
+    if with_features:
+        shapes["features"] = (n, feature_width(config))
+    if with_adjacency:
+        shapes["adjacency"] = (n, n)
+    return shapes
+
+
 def build_state(
     world: WorldState,
     config: ScenarioConfig,
@@ -243,12 +280,3 @@ def build_state(
         cav_ids=cav_ids,
         alive=np.array([world.vehicle(vid).active for vid in cav_ids], dtype=bool),
     )
-
-
-def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
-    """Debug dump of a 2-D matrix with 6 significant digits per cell."""
-    matrix = np.atleast_2d(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([f"{x:.6g}" for x in row])

@@ -17,16 +17,13 @@ frozen in place and ignored by every phase.
 from __future__ import annotations
 
 import enum
-import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ramplab.config import ConfigError, ScenarioConfig
 from ramplab.idm import idm_acceleration
-
-log = logging.getLogger(__name__)
 
 # Vehicles spawn on [0, SPAWN_LENGTH) in per-lane slots wide enough to hold a
 # standstill gap between neighbours.
@@ -285,27 +282,6 @@ def _clamped_lane(lane: int, lateral: Lateral, n_lanes: int) -> int:
 
 def _euler_speed(v: float, accel: float, config: ScenarioConfig) -> float:
     return min(max(v + accel * config.dt, 0.0), config.v_max)
-
-
-def apply_action(veh: VehicleState, action: ActionCommand, config: ScenarioConfig) -> VehicleState:
-    """Apply one full command to a single CAV in isolation.
-
-    Lane changes clamp at the road edges; speed clamps to [0, v_max].  The
-    world step staggers the lateral and longitudinal halves of this update
-    across its phases; this fused form is for driving one vehicle directly.
-    Commands aimed at an inactive vehicle are dropped with a warning.
-    """
-    if not veh.active:
-        log.warning("ignoring action for inactive vehicle %d", veh.id)
-        return veh
-    lane = _clamped_lane(veh.lane, action.lateral, config.n_lanes)
-    accel = {
-        Longitudinal.ACCELERATE: CAV_COMMAND_ACCEL,
-        Longitudinal.MAINTAIN: 0.0,
-        Longitudinal.DECELERATE: -CAV_COMMAND_ACCEL,
-    }[action.longitudinal]
-    v_new = _euler_speed(veh.v, accel, config)
-    return replace(veh, lane=lane, v=v_new, x=veh.x + v_new * config.dt)
 
 
 def resolve_ramp_exit(veh: VehicleState, x_before: float, config: ScenarioConfig) -> Outcome:

@@ -12,9 +12,10 @@ and for CAVs that did not survive the step.
 """
 from __future__ import annotations
 
-import logging
+import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ from ramplab.autodiff import Tensor, backward, gather, mean_all, mul, no_grad, s
 from ramplab.config import EpsilonConfig, ExperimentConfig
 from ramplab.network import QNetwork, TrainingError, build_network
 from ramplab.optim import Adam, clip_global_grad_norm
-from ramplab.replay import ReplayBuffer, Transition
-from ramplab.representation import StateSnapshot, build_state
+from ramplab.replay import Batch, ReplayBuffer
+from ramplab.representation import StateSnapshot, build_state, snapshot_shapes
 from ramplab.rewards import RewardBreakdown, compute_reward
 from ramplab.simulation import (
     FILLER_ACTION_INDEX,
@@ -36,8 +37,6 @@ from ramplab.simulation import (
     reset,
     step,
 )
-
-log = logging.getLogger(__name__)
 
 MAX_GRAD_NORM = 10.0
 
@@ -74,21 +73,17 @@ def select_actions(
     return out
 
 
-def td_targets(batch: list[Transition], target_net: QNetwork, gamma: float) -> np.ndarray:
-    """One target per (transition, CAV): r plus the discounted max of the
-    target network's next-state row, unless the transition ended the episode
-    or the CAV did not survive it."""
-    n_cavs = batch[0].actions.size
+def td_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
+    """One float64 target per (transition, CAV): r plus the discounted max of
+    the target network's next-state row, unless the transition ended the
+    episode or the CAV was inactive at either end."""
     with no_grad():
-        q_next = target_net.forward_batch([tr.s_next for tr in batch]).data
-    y = np.empty((len(batch), n_cavs))
-    for b, tr in enumerate(batch):
-        for i in range(n_cavs):
-            if tr.active_at_s[i] and not tr.done and tr.active_at_s_next[i]:
-                y[b, i] = tr.reward + gamma * float(q_next[b * n_cavs + i].max())
-            else:
-                y[b, i] = tr.reward
-    return y
+        q_next = target_net.forward_batch(batch.s_next).data
+    n_scenes, n_cavs = batch.actions.shape
+    best = q_next.max(axis=1).reshape(n_scenes, n_cavs).astype(np.float64)
+    bootstrap = batch.s.alive & ~batch.done[:, None] & batch.s_next.alive
+    reward = batch.reward[:, None]
+    return np.where(bootstrap, reward + gamma * best, reward)
 
 
 def update_target(online: QNetwork, target: QNetwork) -> None:
@@ -96,27 +91,21 @@ def update_target(online: QNetwork, target: QNetwork) -> None:
 
 
 def train_on_batch(
-    batch: list[Transition],
+    batch: Batch,
     net: QNetwork,
     target_net: QNetwork,
     optimizer: Adam,
     gamma: float,
 ) -> float:
     """One gradient step of MSE TD loss over the batch's active CAVs."""
+    scene, cav = np.nonzero(batch.s.alive)   # b-major, as the Q rows are
+    if scene.size == 0:
+        raise TrainingError("batch contains no active CAVs")
     y = td_targets(batch, target_net, gamma)
-    n_cavs = batch[0].actions.size
-    rows, cols, targets = [], [], []
-    for b, tr in enumerate(batch):
-        for i in range(n_cavs):
-            if tr.active_at_s[i]:
-                rows.append(b * n_cavs + i)
-                cols.append(int(tr.actions[i]))
-                targets.append(y[b, i])
-    assert rows, "batch contains no active CAVs"
     net.store.zero_grads()
-    q_all = net.forward_batch([tr.s for tr in batch])
-    pred = gather(q_all, np.array(rows), np.array(cols))
-    diff = sub(pred, Tensor(np.array(targets, dtype=net.store.dtype)[:, None]))
+    q_all = net.forward_batch(batch.s)
+    pred = gather(q_all, scene * batch.actions.shape[1] + cav, batch.actions[scene, cav])
+    diff = sub(pred, Tensor(y[scene, cav].astype(net.store.dtype)[:, None]))
     loss = mean_all(mul(diff, diff))
     if not math.isfinite(loss.item()):
         raise TrainingError("non-finite TD loss")
@@ -125,22 +114,6 @@ def train_on_batch(
     clip_global_grad_norm(net.store, MAX_GRAD_NORM)
     optimizer.step()
     return loss.item()
-
-
-def train_step(
-    buffer: ReplayBuffer,
-    net: QNetwork,
-    target_net: QNetwork,
-    optimizer: Adam,
-    batch_size: int,
-    gamma: float,
-) -> float | None:
-    """Sample and learn; a no-op (with a warning) while the buffer is short."""
-    if len(buffer) < batch_size:
-        log.warning("replay holds %d < batch %d transitions; skipping update",
-                    len(buffer), batch_size)
-        return None
-    return train_on_batch(buffer.sample(batch_size), net, target_net, optimizer, gamma)
 
 
 @dataclass
@@ -183,20 +156,56 @@ def _episode_outcome_stats(world: WorldState) -> tuple[float, int]:
     return success, world.collision_count
 
 
-def greedy_actions(
-    net: QNetwork, snap: StateSnapshot, world: WorldState
-) -> tuple[dict[int, ActionCommand], np.ndarray]:
-    """Argmax commands for the active CAVs plus the full per-row index array
-    (filler for inactive rows)."""
-    q = net.q_values(snap)
-    idx = np.full(snap.n_cavs, FILLER_ACTION_INDEX, dtype=np.int64)
-    commands: dict[int, ActionCommand] = {}
-    for row, vid in enumerate(snap.cav_ids):
-        if world.vehicle(vid).active:
-            choice = int(np.argmax(q[row]))
-            idx[row] = choice
-            commands[vid] = ActionCommand.from_index(choice)
-    return commands, idx
+def greedy_actions(net: QNetwork, snap: StateSnapshot) -> np.ndarray:
+    """Argmax action index per CAV row (filler for inactive rows)."""
+    return np.where(snap.alive, np.argmax(net.q_values(snap), axis=1), FILLER_ACTION_INDEX)
+
+
+def rollout(
+    world: WorldState,
+    cfg: ExperimentConfig,
+    variant: str,
+    policy: Callable[[StateSnapshot], np.ndarray],
+    on_step: Callable[[StateSnapshot, np.ndarray, RewardBreakdown, StateSnapshot, bool],
+                      None] | None = None,
+) -> tuple[float, float, int, float]:
+    """Play ``world`` to the end of its episode, snapshotting what ``variant``
+    reads.  ``policy(s)`` gives one action index per CAV row (filler on
+    inactive rows); ``on_step(s, actions, reward, s_next, done)`` runs after
+    each world step.  Returns the return, success rate, collisions and the
+    mean over steps of the active CAVs' mean speed (0.0 if no step had one),
+    in :class:`EpisodeMetrics` field order."""
+    with_features, with_adjacency = snapshot_flags(variant)
+
+    def snapshot() -> StateSnapshot:
+        return build_state(world, cfg.scenario, cfg.representation,
+                           with_features=with_features, with_adjacency=with_adjacency)
+
+    snap = snapshot()
+    done = episode_done(world, cfg.scenario)
+    return_total = 0.0
+    speed_sum = 0.0
+    speed_steps = 0
+    while not done:
+        actions = policy(snap)
+        commands = {
+            vid: ActionCommand.from_index(int(actions[row]))
+            for row, vid in enumerate(snap.cav_ids) if snap.alive[row]
+        }
+        events = step(world, commands, cfg.scenario)
+        reward = compute_reward(world, events, cfg.training.weights, cfg.scenario)
+        snap_next = snapshot()
+        done = episode_done(world, cfg.scenario)
+        return_total += reward.total
+        active_now = [world.vehicle(vid) for vid in world.active_cav_ids()]
+        if active_now:
+            speed_sum += sum(v.v for v in active_now) / len(active_now)
+            speed_steps += 1
+        if on_step is not None:
+            on_step(snap, actions, reward, snap_next, done)
+        snap = snap_next
+    success, collisions = _episode_outcome_stats(world)
+    return return_total, success, collisions, speed_sum / speed_steps if speed_steps else 0.0
 
 
 class Trainer:
@@ -211,21 +220,18 @@ class Trainer:
         self.net = build_network(cfg, int(net_ss.generate_state(1)[0]), dtype)
         self.target = self.net.clone()
         self.optimizer = Adam(self.net.store, cfg.training.lr)
+        with_features, with_adjacency = snapshot_flags(cfg.model_variant)
         self.buffer = ReplayBuffer(
-            cfg.training.buffer_capacity, int(buffer_ss.generate_state(1)[0])
+            cfg.training.buffer_capacity, int(buffer_ss.generate_state(1)[0]),
+            snapshot_shapes(cfg.scenario, cfg.representation,
+                            with_features=with_features, with_adjacency=with_adjacency),
+            shared_rows=cfg.representation == "scene_centric",
         )
         self.explore_rng = np.random.default_rng(explore_ss)
         self.env_seed_rng = np.random.default_rng(env_ss)
         self.env_steps = 0
         self.grad_steps = 0
         self.episodes_run = 0
-        self._with_features, self._with_adjacency = snapshot_flags(cfg.model_variant)
-
-    def _snapshot(self, world: WorldState) -> StateSnapshot:
-        return build_state(
-            world, self.cfg.scenario, self.cfg.representation,
-            with_features=self._with_features, with_adjacency=self._with_adjacency,
-        )
 
     def current_epsilon(self) -> float:
         t = self.cfg.training
@@ -233,85 +239,43 @@ class Trainer:
             return 1.0
         return epsilon(self.env_steps - t.warmup_steps, t.epsilon)
 
-    def run_episode(self, train: bool = True, env_seed: int | None = None) -> EpisodeMetrics:
-        """Play one episode; in training mode, also store transitions, learn,
-        and advance the exploration schedule."""
+    def _act(self, snap: StateSnapshot) -> np.ndarray:
+        """Uniform random actions while warming up, else epsilon-greedy."""
+        actions = np.full(snap.n_cavs, FILLER_ACTION_INDEX, dtype=np.int64)
+        alive = np.flatnonzero(snap.alive)
+        if self.env_steps < self.cfg.training.warmup_steps:
+            # one draw per active row: a single sized draw gives other numbers
+            for row in alive:
+                actions[row] = self.explore_rng.integers(N_ACTIONS)
+        else:
+            chosen = select_actions(self.net.q_values(snap), self.current_epsilon(),
+                                    self.explore_rng)
+            actions[alive] = chosen[alive]
+        return actions
+
+    def _learn(self, s, actions, reward, s_next, done) -> None:
+        """Store the transition, then take a gradient step once warmed up."""
+        training = self.cfg.training
+        self.buffer.add(s, actions, reward.total, s_next, done)
+        self.env_steps += 1
+        if self.env_steps >= training.warmup_steps and len(self.buffer) >= training.batch:
+            train_on_batch(self.buffer.sample(training.batch),
+                           self.net, self.target, self.optimizer, training.gamma)
+            self.grad_steps += 1
+            if self.grad_steps % training.target_update_interval == 0:
+                update_target(self.net, self.target)
+
+    def run_episode(self) -> EpisodeMetrics:
+        """Play one training episode: store transitions, learn, and advance
+        the exploration schedule."""
         t0 = time.perf_counter()
-        cfg = self.cfg
-        training = cfg.training
-        if env_seed is None:
-            env_seed = int(self.env_seed_rng.integers(2 ** 63))
-        world = reset(cfg.scenario, env_seed)
-        snap = self._snapshot(world)
-        eps_reported = self.current_epsilon() if train else 0.0
-
-        return_total = 0.0
-        speed_sum = 0.0
-        speed_steps = 0
-        while not episode_done(world, cfg.scenario):
-            warming = train and self.env_steps < training.warmup_steps
-            action_idx = np.full(snap.n_cavs, FILLER_ACTION_INDEX, dtype=np.int64)
-            if warming:
-                for row, vid in enumerate(snap.cav_ids):
-                    if world.vehicle(vid).active:
-                        action_idx[row] = int(self.explore_rng.integers(N_ACTIONS))
-            else:
-                eps = self.current_epsilon() if train else 0.0
-                chosen = select_actions(self.net.q_values(snap), eps,
-                                        self.explore_rng if train else None)
-                for row, vid in enumerate(snap.cav_ids):
-                    if world.vehicle(vid).active:
-                        action_idx[row] = int(chosen[row])
-            commands = {
-                vid: ActionCommand.from_index(int(action_idx[row]))
-                for row, vid in enumerate(snap.cav_ids)
-                if world.vehicle(vid).active
-            }
-
-            events = step(world, commands, cfg.scenario)
-            reward: RewardBreakdown = compute_reward(
-                world, events, training.weights, cfg.scenario
-            )
-            snap_next = self._snapshot(world)
-            done = episode_done(world, cfg.scenario)
-            return_total += reward.total
-
-            active_now = [world.vehicle(vid) for vid in world.active_cav_ids()]
-            if active_now:
-                speed_sum += sum(v.v for v in active_now) / len(active_now)
-                speed_steps += 1
-
-            if train:
-                self.buffer.add(Transition(
-                    s=snap, actions=action_idx, reward=reward.total, s_next=snap_next,
-                    done=done, active_at_s=snap.alive.copy(),
-                    active_at_s_next=snap_next.alive.copy(),
-                ))
-                self.env_steps += 1
-                if self.env_steps >= training.warmup_steps and len(self.buffer) >= training.batch:
-                    train_on_batch(
-                        self.buffer.sample(training.batch),
-                        self.net, self.target, self.optimizer, training.gamma,
-                    )
-                    self.grad_steps += 1
-                    if self.grad_steps % training.target_update_interval == 0:
-                        update_target(self.net, self.target)
-            snap = snap_next
-
-        success, collisions = _episode_outcome_stats(world)
-        if train:
-            self.episodes_run += 1
-        return EpisodeMetrics(
-            episode=self.episodes_run,
-            seed=self.seed,
-            variant=cfg.model_variant,
-            return_total=return_total,
-            success_rate=success,
-            collisions=collisions,
-            mean_speed=speed_sum / speed_steps if speed_steps else 0.0,
-            epsilon=eps_reported,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
+        variant = self.cfg.model_variant
+        world = reset(self.cfg.scenario, int(self.env_seed_rng.integers(2 ** 63)))
+        eps_reported = self.current_epsilon()
+        outcome = rollout(world, self.cfg, variant, self._act, self._learn)
+        self.episodes_run += 1
+        return EpisodeMetrics(self.episodes_run, self.seed, variant, *outcome,
+                              epsilon=eps_reported, wall_ms=(time.perf_counter() - t0) * 1e3)
 
     def train(self, on_episode=None, on_checkpoint=None) -> list[EpisodeMetrics]:
         """Run the configured number of episodes; optional callbacks receive
@@ -319,7 +283,7 @@ class Trainer:
         out = []
         interval = self.cfg.training.checkpoint_interval
         for _ in range(self.cfg.training.episodes):
-            metrics = self.run_episode(train=True)
+            metrics = self.run_episode()
             out.append(metrics)
             if on_episode is not None:
                 on_episode(metrics)
@@ -338,30 +302,12 @@ def evaluate_policy(
 ) -> list[EpisodeMetrics]:
     """Greedy rollouts of a fixed policy; episode seeds derive from ``seed``."""
     env_seed_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    flags = snapshot_flags(net.variant)
+    policy = functools.partial(greedy_actions, net)
     out = []
     for ep in range(n_episodes):
         t0 = time.perf_counter()
         world = reset(cfg.scenario, int(env_seed_rng.integers(2 ** 63)))
-        return_total = 0.0
-        speed_sum = 0.0
-        speed_steps = 0
-        while not episode_done(world, cfg.scenario):
-            snap = build_state(world, cfg.scenario, cfg.representation,
-                               with_features=flags[0], with_adjacency=flags[1])
-            commands, _ = greedy_actions(net, snap, world)
-            events = step(world, commands, cfg.scenario)
-            reward = compute_reward(world, events, cfg.training.weights, cfg.scenario)
-            return_total += reward.total
-            active_now = [world.vehicle(vid) for vid in world.active_cav_ids()]
-            if active_now:
-                speed_sum += sum(v.v for v in active_now) / len(active_now)
-                speed_steps += 1
-        success, collisions = _episode_outcome_stats(world)
-        out.append(EpisodeMetrics(
-            episode=ep, seed=seed, variant=net.variant, return_total=return_total,
-            success_rate=success, collisions=collisions,
-            mean_speed=speed_sum / speed_steps if speed_steps else 0.0,
-            epsilon=0.0, wall_ms=(time.perf_counter() - t0) * 1e3,
-        ))
+        outcome = rollout(world, cfg, net.variant, policy)
+        out.append(EpisodeMetrics(ep, seed, net.variant, *outcome,
+                                  epsilon=0.0, wall_ms=(time.perf_counter() - t0) * 1e3))
     return out

@@ -42,7 +42,6 @@ from ramplab.network import (
     save_checkpoint,
     transformer_encode,
 )
-from ramplab.replay import Transition
 from ramplab.representation import (
     build_adjacency,
     build_feature_matrix,

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -152,6 +154,65 @@ def test_evaluate_missing_checkpoint(trained_run, tmp_path, capsys):
                  "--episodes", "1", "--out", str(tmp_path / "eval.csv")])
     assert code == 2
     assert "manifest" in capsys.readouterr().err
+
+
+# -- damaged checkpoints ----------------------------------------------------
+
+
+def damaged_checkpoint(trained_run, tmp_path, damage_manifest=None):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained_run["checkpoint"], ckpt)
+    if damage_manifest is not None:
+        path = ckpt / "manifest.json"
+        manifest = json.loads(path.read_text())
+        damage_manifest(manifest)
+        path.write_text(json.dumps(manifest))
+    return ckpt
+
+
+def exits_2_with_one_line_error(command, trained_run, ckpt, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", trained_run["config"], "--checkpoint", str(ckpt),
+                 "--episodes", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
+MANIFEST_DAMAGE = {
+    "no params": lambda m: m.pop("params"),
+    "no dtype": lambda m: m.pop("dtype"),
+    "no meta": lambda m: m.pop("meta"),
+    "entry without offset": lambda m: m["params"][0].pop("offset"),
+    "entry without shape": lambda m: m["params"][0].pop("shape"),
+    "params not a list": lambda m: m.update(params=3),
+    "shape of strings": lambda m: m["params"][0].update(shape="ab"),
+    "offset a string": lambda m: m["params"][0].update(offset="0"),
+    "negative offset": lambda m: m["params"][0].update(offset=-4),
+    "integer dtype": lambda m: m.update(dtype="<i4"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+@pytest.mark.parametrize("damage", sorted(MANIFEST_DAMAGE))
+def test_malformed_manifest_exits_2(trained_run, tmp_path, capsys, command, damage):
+    ckpt = damaged_checkpoint(trained_run, tmp_path, MANIFEST_DAMAGE[damage])
+    err = exits_2_with_one_line_error(command, trained_run, ckpt, tmp_path, capsys)
+    assert "checkpoint" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weight_exits_2(trained_run, tmp_path, capsys, bad):
+    ckpt = damaged_checkpoint(trained_run, tmp_path)
+    entry = next(e for e in json.loads((ckpt / "manifest.json").read_text())["params"]
+                 if e["name"] == "embed.w")
+    blob = bytearray((ckpt / "params.bin").read_bytes())
+    blob[entry["offset"]:entry["offset"] + 4] = struct.pack("<f", bad)
+    (ckpt / "params.bin").write_bytes(bytes(blob))
+    err = exits_2_with_one_line_error("evaluate", trained_run, ckpt, tmp_path, capsys)
+    assert "non-finite" in err and "embed.w" in err
 
 
 # -- trace ----------------------------------------------------------------

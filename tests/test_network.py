@@ -22,7 +22,7 @@ from ramplab.network import (
     save_checkpoint,
     transformer_encode,
 )
-from ramplab.representation import build_state
+from ramplab.representation import build_state, stack_states
 
 
 def make_snap(seed, config, representation="agent_centric"):
@@ -232,7 +232,7 @@ def test_batched_forward_matches_singles(variant):
     cfg = small_experiment(model_variant=variant)
     net = build_network(cfg, seed=1, dtype=np.float64)
     snaps = [make_snap(s, cfg.scenario) for s in range(3)]
-    batched = net.forward_batch(snaps).data
+    batched = net.forward_batch(stack_states(snaps)).data
     singles = np.vstack([net.forward(s).data for s in snaps])
     assert batched.shape == (6, 9)
     np.testing.assert_allclose(batched, singles, rtol=1e-9, atol=1e-11)

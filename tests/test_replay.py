@@ -1,59 +1,107 @@
 import numpy as np
 import pytest
 
-from ramplab.replay import ReplayBuffer, Transition
+from _helpers import scenario
+from ramplab.replay import ReplayBuffer
+from ramplab.representation import StateSnapshot, build_state, snapshot_shapes
+from ramplab.simulation import ActionCommand, episode_done, reset, step
 
 
-def stub_transition(tag: int) -> Transition:
-    return Transition(
-        s=tag,
-        actions=np.array([4, 4]),
-        reward=float(tag),
-        s_next=tag + 1,
-        done=False,
-        active_at_s=np.array([True, True]),
-        active_at_s_next=np.array([True, True]),
+def stub_snapshot(tag: int) -> StateSnapshot:
+    return StateSnapshot(
+        sr=np.full((2, 3), tag, dtype=np.float32), features=None, adjacency=None,
+        mask=np.ones(2, dtype=np.float32), cav_ids=(0, 1), alive=np.array([True, True]),
     )
 
 
+def stub_buffer(capacity: int, seed: int) -> ReplayBuffer:
+    shapes = {"sr": (2, 3), "cav_ids": (2,), "alive": (2,)}
+    return ReplayBuffer(capacity, seed, shapes, shared_rows=False)
+
+
+def add_stub(buf: ReplayBuffer, tag: int) -> None:
+    buf.add(stub_snapshot(tag), np.array([4, 4]), float(tag), stub_snapshot(tag + 1), False)
+
+
 def test_grows_then_overwrites_oldest():
-    buf = ReplayBuffer(capacity=3, seed=0)
+    buf = stub_buffer(capacity=3, seed=0)
     for tag in range(5):
-        buf.add(stub_transition(tag))
+        add_stub(buf, tag)
     assert len(buf) == 3
-    rewards = {t.reward for t in buf.sample(3)}
-    assert rewards == {2.0, 3.0, 4.0}
+    batch = buf.sample(3)
+    assert set(batch.reward) == {2.0, 3.0, 4.0}
+    # every field of a transition comes from the same slot
+    np.testing.assert_array_equal(batch.s.sr[:, 0, 0], batch.reward)
+    np.testing.assert_array_equal(batch.s_next.sr[:, 0, 0], batch.reward + 1)
 
 
 def test_sample_without_replacement():
-    buf = ReplayBuffer(capacity=10, seed=1)
+    buf = stub_buffer(capacity=10, seed=1)
     for tag in range(10):
-        buf.add(stub_transition(tag))
+        add_stub(buf, tag)
     batch = buf.sample(10)
-    assert len({t.reward for t in batch}) == 10
+    assert len(set(batch.reward)) == 10
 
 
 def test_sample_more_than_stored_raises():
-    buf = ReplayBuffer(capacity=4, seed=2)
-    buf.add(stub_transition(0))
+    buf = stub_buffer(capacity=4, seed=2)
+    add_stub(buf, 0)
     with pytest.raises(ValueError):
         buf.sample(2)
 
 
 def test_sampling_is_seed_deterministic():
     def draws(seed):
-        buf = ReplayBuffer(capacity=50, seed=seed)
+        buf = stub_buffer(capacity=50, seed=seed)
         for tag in range(50):
-            buf.add(stub_transition(tag))
-        return [t.reward for t in buf.sample(5)] + [t.reward for t in buf.sample(5)]
+            add_stub(buf, tag)
+        return list(buf.sample(5).reward) + list(buf.sample(5).reward)
 
     assert draws(7) == draws(7)
     assert draws(7) != draws(8)
 
 
 def test_capacity_one_ring():
-    buf = ReplayBuffer(capacity=1, seed=3)
-    buf.add(stub_transition(0))
-    buf.add(stub_transition(9))
+    buf = stub_buffer(capacity=1, seed=3)
+    add_stub(buf, 0)
+    add_stub(buf, 9)
     assert len(buf) == 1
-    assert buf.sample(1)[0].reward == 9.0
+    assert buf.sample(1).reward[0] == 9.0
+
+
+@pytest.mark.parametrize("representation", ["scene_centric", "agent_centric"])
+def test_sampled_states_equal_build_state_bit_for_bit(representation):
+    """Rows rebuilt from a once-stored scene grid, bool adjacency and the
+    other rings give back exactly what build_state made, including states
+    with inactive CAVs and terminal states with none left."""
+    config = scenario(n_cav=3, n_hdv=4, max_steps=40)
+    n_episodes = 6
+    buf = ReplayBuffer(n_episodes * config.max_steps, 0,
+                       snapshot_shapes(config, representation),
+                       shared_rows=representation == "scene_centric")
+    rng = np.random.default_rng(0)
+    stored = []
+    for seed in range(n_episodes):
+        world = reset(config, seed)
+        snap = build_state(world, config, representation)
+        while not episode_done(world, config):
+            step(world, {vid: ActionCommand.from_index(int(rng.integers(9)))
+                         for vid in world.active_cav_ids()}, config)
+            snap_next = build_state(world, config, representation)
+            buf.add(snap, np.zeros(3, dtype=np.int64), float(len(stored)), snap_next,
+                    episode_done(world, config))
+            stored.append((snap, snap_next))
+            snap = snap_next
+    alive = np.array([s.alive for s, _ in stored])
+    assert alive.all(axis=1).any() and not alive.all()
+    assert not np.array([n.alive for _, n in stored]).any(axis=1).all()
+
+    batch = buf.sample(len(stored))
+    for b, tag in enumerate(batch.reward):
+        for got, snap in ((batch.s, stored[int(tag)][0]), (batch.s_next, stored[int(tag)][1])):
+            assert got.sr[b].dtype == snap.sr.dtype
+            assert got.sr[b].tobytes() == snap.sr.tobytes()
+            assert got.features[b].tobytes() == snap.features.tobytes()
+            assert got.adjacency[b].astype(np.float32).tobytes() == snap.adjacency.tobytes()
+            np.testing.assert_array_equal(got.alive[b], snap.alive)
+            np.testing.assert_array_equal(got.cav_ids[b], snap.cav_ids)

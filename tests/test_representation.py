@@ -20,7 +20,6 @@ from ramplab.representation import (
     grid_width,
     occupancy_value,
     scene_grid_cols,
-    write_matrix_csv,
 )
 from ramplab.simulation import VehicleKind
 
@@ -323,11 +322,3 @@ def test_rollout_invariants():
         for row, vid in enumerate(snap.cav_ids):
             if not snap.alive[row]:
                 assert np.count_nonzero(snap.sr[row]) == 0
-
-
-def test_write_matrix_csv_round_trip(tmp_path):
-    path = tmp_path / "grid.csv"
-    matrix = np.array([[0.123456789, 0.0], [1.0, -0.6]])
-    write_matrix_csv(path, matrix)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_allclose(back, matrix, atol=5e-7)

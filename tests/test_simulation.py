@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from ramplab.simulation import (
     Longitudinal,
     Outcome,
     VehicleKind,
-    apply_action,
     detect_collisions,
     episode_done,
     hdv_lane_change,
@@ -101,37 +99,33 @@ def test_reset_odd_cav_count_favours_first_ramp():
     assert kinds == [VehicleKind.CAV_RAMP1, VehicleKind.CAV_RAMP1, VehicleKind.CAV_RAMP2]
 
 
-# -- apply_action ---------------------------------------------------------
+# -- CAV commands ---------------------------------------------------------
 
 
-def test_apply_action_inactive_is_noop_with_warning(caplog):
-    veh = cav(0, active=False, lane=2, x=50.0, v=10.0)
-    with caplog.at_level(logging.WARNING, logger="ramplab.simulation"):
-        out = apply_action(veh, ActionCommand.from_index(0), CFG)
-    assert out == veh
-    assert "inactive" in caplog.text
+def drive(veh, command):
+    """A lone CAV after one world step under ``command``."""
+    world = world_of(veh)
+    step(world, {veh.id: command}, CFG)
+    return world.vehicle(veh.id)
 
 
-def test_apply_action_lane_clamps_at_edges():
-    left = apply_action(cav(0, lane=1), ActionCommand(Lateral.LEFT, Longitudinal.MAINTAIN), CFG)
+def test_step_cav_lane_clamps_at_edges():
+    left = drive(cav(0, lane=1), ActionCommand(Lateral.LEFT, Longitudinal.MAINTAIN))
     assert left.lane == 1
-    right = apply_action(cav(0, lane=3), ActionCommand(Lateral.RIGHT, Longitudinal.MAINTAIN), CFG)
+    right = drive(cav(0, lane=3), ActionCommand(Lateral.RIGHT, Longitudinal.MAINTAIN))
     assert right.lane == 3
 
 
-def test_apply_action_accelerate_euler_update():
-    out = apply_action(cav(0, x=100.0, v=10.0),
-                       ActionCommand(Lateral.KEEP, Longitudinal.ACCELERATE), CFG)
+def test_step_cav_accelerate_euler_update():
+    out = drive(cav(0, x=100.0, v=10.0), ActionCommand(Lateral.KEEP, Longitudinal.ACCELERATE))
     assert out.v == pytest.approx(10.0 + CAV_COMMAND_ACCEL * CFG.dt)
     assert out.x == pytest.approx(100.0 + out.v * CFG.dt)
 
 
-def test_apply_action_speed_clamps():
-    stopped = apply_action(cav(0, v=0.5),
-                           ActionCommand(Lateral.KEEP, Longitudinal.DECELERATE), CFG)
+def test_step_cav_speed_clamps():
+    stopped = drive(cav(0, v=0.5), ActionCommand(Lateral.KEEP, Longitudinal.DECELERATE))
     assert stopped.v == 0.0
-    topped = apply_action(cav(0, v=24.5),
-                          ActionCommand(Lateral.KEEP, Longitudinal.ACCELERATE), CFG)
+    topped = drive(cav(0, v=24.5), ActionCommand(Lateral.KEEP, Longitudinal.ACCELERATE))
     assert topped.v == CFG.v_max
 
 

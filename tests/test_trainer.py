@@ -1,5 +1,5 @@
 import dataclasses
-import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import random_rollout, scenario, small_experiment, vehicle, world_of
+from ramplab import autodiff as ad
 from ramplab.autodiff import no_grad
-from ramplab.config import EpsilonConfig
+from ramplab.config import MODEL_VARIANTS, EpsilonConfig
 from ramplab.network import TrainingError, build_network
-from ramplab.optim import Adam
-from ramplab.replay import ReplayBuffer, Transition
-from ramplab.representation import build_state
+from ramplab.optim import Adam, clip_global_grad_norm
+from ramplab.replay import Batch
+from ramplab.representation import StateBatch, build_state, stack_states
 from ramplab.simulation import FILLER_ACTION_INDEX, Outcome, VehicleKind
 from ramplab.trainer import (
+    MAX_GRAD_NORM,
     EpisodeMetrics,
     Trainer,
     _episode_outcome_stats,
@@ -26,7 +28,6 @@ from ramplab.trainer import (
     select_actions,
     td_targets,
     train_on_batch,
-    train_step,
     update_target,
 )
 
@@ -94,24 +95,27 @@ class FakeTargetNet:
     def __init__(self, q_rows):
         self.q_rows = np.asarray(q_rows, dtype=float)
 
-    def forward_batch(self, snaps):
+    def forward_batch(self, states):
         out = lambda: None
         out.data = self.q_rows
         return out
 
 
-def fake_transition(reward, done, at_s, at_next):
-    return Transition(
-        s=None, actions=np.array([0, 0]), reward=reward, s_next=None,
-        done=done, active_at_s=np.array(at_s), active_at_s_next=np.array(at_next),
+def fake_batch(rewards, done, at_s, at_next):
+    """Only what td_targets reads besides the network's output."""
+    at_s = np.array(at_s)
+    return Batch(
+        s=StateBatch(sr=None, cav_ids=None, alive=at_s),
+        actions=np.zeros(at_s.shape, dtype=np.int64),
+        reward=np.array(rewards, dtype=float),
+        s_next=StateBatch(sr=None, cav_ids=None, alive=np.array(at_next)),
+        done=np.array(done),
     )
 
 
 def test_td_targets_bootstrap_and_cutoffs():
-    batch = [
-        fake_transition(1.0, False, [True, True], [True, False]),
-        fake_transition(-2.0, True, [True, True], [True, True]),
-    ]
+    batch = fake_batch([1.0, -2.0], [False, True],
+                       [[True, True], [True, True]], [[True, False], [True, True]])
     q_rows = np.array([
         [2.0, 1.0, 0.0], [5.0, 0.0, 0.0],      # scene 0, CAVs 0 and 1
         [7.0, 9.0, 8.0], [1.0, 1.0, 1.0],      # scene 1 (terminal: ignored)
@@ -121,7 +125,7 @@ def test_td_targets_bootstrap_and_cutoffs():
 
 
 def test_td_targets_inactive_at_start_gets_raw_reward():
-    batch = [fake_transition(3.0, False, [False, True], [True, True])]
+    batch = fake_batch([3.0], [False], [[False, True]], [[True, True]])
     y = td_targets(batch, FakeTargetNet(np.full((2, 3), 10.0)), gamma=0.9)
     np.testing.assert_allclose(y, [[3.0, 3.0 + 9.0]])
 
@@ -143,6 +147,19 @@ def rollout_snaps(cfg, n, seed0=0):
     ]
 
 
+def frozen_batch(snaps, actions, rewards):
+    """Terminal transitions from ``snaps`` with every CAV active at s."""
+    states = stack_states(snaps)
+    alive = np.ones_like(states.alive)
+    return Batch(
+        s=dataclasses.replace(states, alive=alive),
+        actions=np.array(actions, dtype=np.int64),
+        reward=np.array(rewards, dtype=float),
+        s_next=dataclasses.replace(states, alive=~alive),
+        done=np.ones(len(snaps), dtype=bool),
+    )
+
+
 def test_fixed_point_has_zero_loss_and_frozen_params():
     cfg = solo_cfg(model_variant="gitsr")
     net = build_network(cfg, seed=0)
@@ -151,15 +168,9 @@ def test_fixed_point_has_zero_loss_and_frozen_params():
     snaps = rollout_snaps(cfg, 4)
     actions = [2, 5, 0, 7]
     with no_grad():
-        q = net.forward_batch(snaps).data
-    batch = [
-        Transition(
-            s=snaps[b], actions=np.array([actions[b]]),
-            reward=float(q[b, actions[b]]), s_next=snaps[b], done=True,
-            active_at_s=np.array([True]), active_at_s_next=np.array([False]),
-        )
-        for b in range(4)
-    ]
+        q = net.forward_batch(stack_states(snaps)).data
+    batch = frozen_batch(snaps, [[a] for a in actions],
+                         [float(q[b, actions[b]]) for b in range(4)])
     before = {name: p.data.tobytes() for name, p in net.store.items()}
     loss = train_on_batch(batch, net, target, opt, gamma=0.9)
     assert loss == 0.0
@@ -174,29 +185,91 @@ def test_overfits_a_frozen_batch():
     opt = Adam(net.store, lr=1e-3)
     rng = np.random.default_rng(2)
     snaps = rollout_snaps(cfg, 16, seed0=100)
-    batch = [
-        Transition(
-            s=snaps[i], actions=np.array([int(rng.integers(9)) for _ in range(2)]),
-            reward=float(rng.normal()), s_next=snaps[i], done=True,
-            active_at_s=np.array([True, True]), active_at_s_next=np.array([False, False]),
-        )
-        for i in range(16)
-    ]
+    actions, rewards = [], []
+    for _ in range(16):
+        actions.append([int(rng.integers(9)) for _ in range(2)])
+        rewards.append(float(rng.normal()))
+    batch = frozen_batch(snaps, actions, rewards)
     first = train_on_batch(batch, net, target, opt, gamma=0.9)
     for _ in range(199):
         last = train_on_batch(batch, net, target, opt, gamma=0.9)
     assert last < first * 0.2
 
 
-def test_train_step_short_buffer_warns_and_skips(caplog):
-    cfg = solo_cfg()
+def test_train_on_batch_rejects_batch_without_active_cavs():
+    cfg = small_experiment(model_variant="madqn")
     net = build_network(cfg, seed=3)
-    buf = ReplayBuffer(capacity=10, seed=0)
-    with caplog.at_level(logging.WARNING, logger="ramplab.trainer"):
-        out = train_step(buf, net, net.clone(), Adam(net.store, 1e-4),
-                         batch_size=4, gamma=0.9)
-    assert out is None
-    assert "skipping update" in caplog.text
+    batch = frozen_batch(rollout_snaps(cfg, 2), [[0, 0], [1, 1]], [1.0, 2.0])
+    batch.s.alive[:] = False
+    with pytest.raises(TrainingError, match="no active CAVs"):
+        train_on_batch(batch, net, net.clone(), Adam(net.store, 1e-4), gamma=0.9)
+
+
+# Reference: the per-(transition, CAV) loops the vectorised code replaced.
+def loop_td_targets(batch, target_net, gamma):
+    with no_grad():
+        q_next = target_net.forward_batch(batch.s_next).data
+    n_scenes, n_cavs = batch.actions.shape
+    y = np.empty((n_scenes, n_cavs))
+    for b in range(n_scenes):
+        reward = float(batch.reward[b])
+        for i in range(n_cavs):
+            if batch.s.alive[b, i] and not batch.done[b] and batch.s_next.alive[b, i]:
+                y[b, i] = reward + gamma * float(q_next[b * n_cavs + i].max())
+            else:
+                y[b, i] = reward
+    return y
+
+
+def loop_train_on_batch(batch, net, target_net, optimizer, gamma):
+    y = loop_td_targets(batch, target_net, gamma)
+    n_scenes, n_cavs = batch.actions.shape
+    rows, cols, targets = [], [], []
+    for b in range(n_scenes):
+        for i in range(n_cavs):
+            if batch.s.alive[b, i]:
+                rows.append(b * n_cavs + i)
+                cols.append(int(batch.actions[b, i]))
+                targets.append(y[b, i])
+    net.store.zero_grads()
+    pred = ad.gather(net.forward_batch(batch.s), np.array(rows), np.array(cols))
+    diff = ad.sub(pred, ad.Tensor(np.array(targets, dtype=net.store.dtype)[:, None]))
+    loss = ad.mean_all(ad.mul(diff, diff))
+    ad.backward(loss)
+    clip_global_grad_norm(net.store, MAX_GRAD_NORM)
+    optimizer.step()
+    return loss.item()
+
+
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_vectorised_learner_matches_per_cav_loops(variant):
+    cfg = small_experiment(model_variant=variant)
+    rng = np.random.default_rng(11)
+    net = build_network(cfg, seed=12)
+    target = build_network(cfg, seed=13)
+    twin = net.clone()
+    opt, twin_opt = Adam(net.store, 1e-3), Adam(twin.store, 1e-3)
+    for trial in range(4):
+        states = stack_states(rollout_snaps(cfg, 6, seed0=10 * trial))
+        next_states = stack_states(rollout_snaps(cfg, 6, seed0=10 * trial + 5))
+        alive = rng.random(states.alive.shape) < 0.6
+        alive[0, 0] = True
+        batch = Batch(
+            s=dataclasses.replace(states, alive=alive),
+            actions=rng.integers(9, size=alive.shape),
+            reward=rng.normal(size=6),
+            s_next=dataclasses.replace(next_states,
+                                       alive=rng.random(alive.shape) < 0.6),
+            done=rng.random(6) < 0.3,
+        )
+        y = td_targets(batch, target, gamma=0.9)
+        assert y.dtype == np.float64
+        assert y.tobytes() == loop_td_targets(batch, target, gamma=0.9).tobytes()
+        loss = train_on_batch(batch, net, target, opt, gamma=0.9)
+        assert math.isfinite(loss)
+        assert loss == loop_train_on_batch(batch, twin, target, twin_opt, gamma=0.9)
+        for (name, p), (_, q) in zip(net.store.items(), twin.store.items()):
+            assert p.data.tobytes() == q.data.tobytes(), name
 
 
 def test_update_target_copies_then_goes_stale():
@@ -223,7 +296,7 @@ def test_trainer_warmup_reports_unit_epsilon_and_no_learning():
     )
     trainer = Trainer(cfg, seed=0)
     before = {name: p.data.tobytes() for name, p in trainer.net.store.items()}
-    metrics = trainer.run_episode(train=True)
+    metrics = trainer.run_episode()
     assert metrics.epsilon == 1.0
     assert trainer.grad_steps == 0
     assert len(trainer.buffer) == trainer.env_steps > 0
@@ -308,8 +381,7 @@ def test_greedy_actions_filler_for_inactive():
     dead = world.vehicle(1)
     world.vehicles[1] = dataclasses.replace(dead, active=False, outcome=Outcome.COLLIDED)
     snap = build_state(world, cfg.scenario, cfg.representation)
-    commands, idx = greedy_actions(net, snap, world)
-    assert set(commands) == {0}
+    idx = greedy_actions(net, snap)
     assert idx[1] == FILLER_ACTION_INDEX
     assert idx[0] == int(np.argmax(net.q_values(snap)[0]))
 
