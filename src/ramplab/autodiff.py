@@ -3,14 +3,17 @@
 Every operation builds a node holding its inputs and a vector-Jacobian
 closure; :func:`backward` walks the graph once in reverse topological order
 and accumulates gradients into ``.grad`` slots.  Only what the encoders and
-the Q head need is implemented, and everything stays dense 2-D, which keeps
-each rule a few lines of numpy.
+the Q head need is implemented, and every tensor stays dense 2-D, which
+keeps each rule a few lines of numpy.  A batch of B scenes is B equal row
+blocks stacked scene-major; :func:`scene_attention` and :func:`scene_matmul`
+view those blocks as a leading batch axis internally, so scenes never mix.
 
 Gradient recording can be suspended with ``with no_grad(): ...`` for target
 computations and finite-difference probes.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,16 +82,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, "matmul", (a, b), vjp)
 
 
-def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T without materialising a transpose node."""
+def scene_matmul(e: np.ndarray, a: Tensor) -> Tensor:
+    """Per-scene product of a constant (B, n, n) stack with ``a``'s (B*n, k)
+    rows, scene-major: scene b's rows are ``e[b] @ a[b*n:(b+1)*n]``."""
+    n_scenes, n, _ = e.shape
+    k = a.data.shape[1]
 
     def vjp(g):
-        return (
-            g @ b.data if a.requires_grad else None,
-            g.T @ a.data if b.requires_grad else None,
-        )
+        return ((e.transpose(0, 2, 1) @ g.reshape(n_scenes, n, k)).reshape(-1, k),)
 
-    return _node(a.data @ b.data.T, "matmul_nt", (a, b), vjp)
+    return _node((e @ a.data.reshape(n_scenes, n, k)).reshape(-1, k), "scene_matmul", (a,), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -136,15 +139,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, "scale", (a,), vjp)
 
 
-def add_const(a: Tensor, arr: np.ndarray) -> Tensor:
-    """Add a constant array (e.g. an additive attention mask)."""
-
-    def vjp(g):
-        return (g,)
-
-    return _node(a.data + arr, "add_const", (a,), vjp)
-
-
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
 
@@ -152,17 +146,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * keep,)
 
     return _node(np.where(keep, a.data, 0.0), "relu", (a,), vjp)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
-
-    return _node(y, "softmax", (a,), vjp)
 
 
 def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -180,6 +163,40 @@ def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     return _node(y * gain.data + bias.data, "layer_norm", (a, gain, bias), vjp)
 
 
+def scene_attention(q: Tensor, k: Tensor, v: Tensor, n_scenes: int, n_heads: int) -> Tensor:
+    """Scaled dot-product attention within each scene, all heads at once.
+
+    ``q``, ``k`` and ``v`` are (B*m, d) with the B scenes' m rows stacked
+    scene-major and head i in columns i*d/h to (i+1)*d/h; rows attend only to
+    rows of their own scene.  The output has the same layout.
+    """
+    rows, d = q.data.shape
+    if d % n_heads or rows % n_scenes:
+        raise ValueError(f"{rows}x{d} does not split into {n_scenes} scenes x {n_heads} heads")
+    m, d_head = rows // n_scenes, d // n_heads
+    c = 1.0 / math.sqrt(d_head)  # a Python float keeps float32 scores float32
+
+    def heads(arr):  # (B*m, d) -> (B, h, m, d/h)
+        return arr.reshape(n_scenes, m, n_heads, d_head).transpose(0, 2, 1, 3)
+
+    def merge(arr):  # (B, h, m, d/h) -> (B*m, d)
+        return arr.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gh = heads(g)
+        dp = gh @ vh.transpose(0, 1, 3, 2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        dq, dk = ds @ kh, ds.transpose(0, 1, 3, 2) @ qh
+        return merge(dq), merge(dk), merge(p.transpose(0, 1, 3, 2) @ gh)
+
+    return _node(merge(p @ vh), "scene_attention", (q, k, v), vjp)
+
+
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     widths = [t.data.shape[1] for t in tensors]
     splits = np.cumsum(widths)[:-1]
@@ -188,15 +205,6 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
         return tuple(np.hsplit(g, splits))
 
     return _node(np.hstack([t.data for t in tensors]), "concat", tuple(tensors), vjp)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    def vjp(g):
-        da = np.zeros_like(a.data)
-        da[:, start:stop] = g
-        return (da,)
-
-    return _node(a.data[:, start:stop].copy(), "slice", (a,), vjp)
 
 
 def select_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -269,11 +277,8 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         if node._vjp is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

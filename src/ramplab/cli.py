@@ -45,7 +45,7 @@ TRACE_COLUMNS = TRACE_FIELDS + ("action", "r_speed", "r_collision", "r_intention
 def _load_config(args, apply_episodes: bool = True) -> ExperimentConfig:
     """Load the experiment config and fold in CLI overrides.
 
-    ``apply_episodes`` is off for evaluate/trace, where --episodes counts
+    ``apply_episodes`` is off for evaluate, where --episodes counts
     rollouts rather than overriding the training schedule.
     """
     cfg = load_experiment_config(args.config)
@@ -112,9 +112,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, apply_episodes=False)
+    n_episodes = args.episodes if args.episodes is not None else 10
+    if n_episodes < 0:
+        raise ConfigError(f"--episodes must be non-negative, got {n_episodes}")
     net = network_from_checkpoint(args.checkpoint)
     _check_net_matches(net, cfg)
-    n_episodes = args.episodes if args.episodes is not None else 10
     seed = args.seed if args.seed is not None else 0
     rows = evaluate_policy(net, cfg, n_episodes, seed)
     out_path = Path(args.out or "evaluation.csv")
@@ -182,7 +184,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = _load_config(args, apply_episodes=False)
+    cfg = _load_config(args)
     net = network_from_checkpoint(args.checkpoint)
     _check_net_matches(net, cfg)
     seed = args.seed if args.seed is not None else 0
@@ -226,12 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p, checkpoint=False, episodes=True):
         p.add_argument("--config", required=True, help="experiment config JSON")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint directory")
         p.add_argument("--seed", type=int, help="override: run only this seed")
-        p.add_argument("--episodes", type=int, help="override episode count")
+        if episodes:
+            p.add_argument("--episodes", type=int, help="override episode count")
         p.add_argument("--out", help="output directory or file")
 
     p_train = sub.add_parser("train", help="train the configured variant over all seeds")
@@ -253,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate.set_defaults(func=cmd_ablate)
 
     p_trace = sub.add_parser("trace", help="dump one greedy episode as CSV")
-    common(p_trace, checkpoint=True)
+    common(p_trace, checkpoint=True, episodes=False)
     p_trace.add_argument("--variant", choices=MODEL_VARIANTS, help="override model variant")
     p_trace.add_argument("--representation", choices=REPRESENTATIONS,
                          help="override grid representation")

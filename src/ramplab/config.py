@@ -229,6 +229,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a non-empty list")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         self.scenario.validate()
         self.network.validate()
         self.training.validate()

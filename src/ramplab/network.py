@@ -10,10 +10,10 @@ Three variants share one action-value interface (one 9-wide Q row per CAV):
                      flattened grid row.
 
 Forwards take a :class:`~ramplab.representation.StateBatch` and run it as
-one graph: grid rows from all scenes form a single token matrix with a
-block-diagonal additive attention mask, and adjacency blocks are normalised
-per scene then placed on a block diagonal, so cross-scene mixing is
-structurally impossible.
+one graph.  Grid rows from all scenes form one scene-major token matrix for
+the dense layers; attention (``scene_attention``) and graph mixing
+(``scene_matmul`` with the (B, n, n) normalised adjacency) run per scene on
+a batch axis, so cross-scene mixing is structurally impossible.
 
 Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
 plus a little-endian float32 blob and round-trip bit-exactly.
@@ -31,17 +31,14 @@ from ramplab.autodiff import (
     Tensor,
     add,
     add_bias,
-    add_const,
     concat_cols,
     layer_norm_rows,
     matmul,
-    matmul_nt,
     no_grad,
     relu,
-    scale,
+    scene_attention,
+    scene_matmul,
     select_rows,
-    slice_cols,
-    softmax_rows,
 )
 from ramplab.config import ExperimentConfig, NetworkConfig
 from ramplab.representation import (
@@ -52,7 +49,6 @@ from ramplab.representation import (
     stack_states,
 )
 
-MASKED_SCORE = -1e9
 N_ACTIONS = 9
 
 
@@ -151,42 +147,27 @@ def multi_head_attention(
     wv: Tensor,
     wo: Tensor,
     n_heads: int,
-    attn_mask: np.ndarray | None = None,
+    n_scenes: int = 1,
 ) -> Tensor:
-    """Scaled dot-product attention with heads as column slices of one
-    projection, concatenated and mixed by ``wo``.  ``attn_mask`` is an
-    additive score offset (0 to attend, a large negative to block)."""
-    d_model = x.shape[1]
-    if d_model % n_heads:
-        raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
-    d_head = d_model // n_heads
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
-    heads = []
-    for i in range(n_heads):
-        lo, hi = i * d_head, (i + 1) * d_head
-        scores = scale(
-            matmul_nt(slice_cols(q, lo, hi), slice_cols(k, lo, hi)),
-            1.0 / math.sqrt(d_head),
-        )
-        if attn_mask is not None:
-            scores = add_const(scores, attn_mask)
-        heads.append(matmul(softmax_rows(scores), slice_cols(v, lo, hi)))
-    return matmul(concat_cols(heads), wo)
+    """Scaled dot-product attention with heads as column blocks of one
+    projection, mixed by ``wo``; ``x`` holds ``n_scenes`` equal row blocks
+    that attend only within themselves."""
+    return matmul(
+        scene_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), n_scenes, n_heads), wo
+    )
 
 
 def transformer_encode(
     sr: Tensor,
     params: TransformerParams,
     n_heads: int,
-    attn_mask: np.ndarray | None = None,
+    n_scenes: int = 1,
 ) -> Tensor:
     """Embed grid rows and run the blocks: attention, a single residual, then
     a layer-normalised MLP; the last block's output is the encoding."""
     x = linear(sr, params.embed_w, params.embed_b)
     for blk in params.blocks:
-        attended = multi_head_attention(x, blk.wq, blk.wk, blk.wv, blk.wo, n_heads, attn_mask)
+        attended = multi_head_attention(x, blk.wq, blk.wk, blk.wv, blk.wo, n_heads, n_scenes)
         h = add(attended, x)
         m = linear(relu(linear(h, blk.mlp_w1, blk.mlp_b1)), blk.mlp_w2, blk.mlp_b2)
         x = layer_norm_rows(m, blk.ln_g, blk.ln_b)
@@ -194,19 +175,24 @@ def transformer_encode(
 
 
 def gcn_normalize(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetrically normalised adjacency with guaranteed self-loops."""
-    n = adjacency.shape[0]
+    """Symmetrically normalised adjacency with guaranteed self-loops, over
+    the last two axes, so a (B, n, n) stack is normalised per scene."""
+    n = adjacency.shape[-1]
     a_tilde = np.minimum(adjacency + np.eye(n, dtype=adjacency.dtype), 1.0)
-    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=-1))
+    return a_tilde * d_inv_sqrt[..., :, None] * d_inv_sqrt[..., None, :]
 
 
 def gcn_forward(features: Tensor, e_norm: np.ndarray, weights: list[Tensor]) -> Tensor:
-    """Stacked graph convolutions, ReLU after every layer including the last."""
+    """Stacked graph convolutions, ReLU after every layer including the last.
+
+    ``e_norm`` is one (n, n) scene or a (B, n, n) stack whose scenes own
+    consecutive n-row blocks of ``features``."""
+    n = e_norm.shape[-1]
+    mixer = e_norm.reshape(-1, n, n)
     h = features
-    mixer = Tensor(e_norm)
     for w in weights:
-        h = relu(matmul(mixer, matmul(h, w)))
+        h = relu(scene_matmul(mixer, matmul(h, w)))
     return h
 
 
@@ -228,39 +214,9 @@ def q_head(
     return linear(relu(linear(fused, w1, b1)), w2, b2)
 
 
-_MASK_CACHE: dict[tuple[int, int, str], np.ndarray] = {}
-
-
-def block_attention_mask(n_scenes: int, tokens_per_scene: int, dtype) -> np.ndarray | None:
-    """Additive mask confining attention to its own scene's tokens."""
-    if n_scenes == 1:
-        return None
-    key = (n_scenes, tokens_per_scene, np.dtype(dtype).name)
-    mask = _MASK_CACHE.get(key)
-    if mask is None:
-        size = n_scenes * tokens_per_scene
-        mask = np.full((size, size), MASKED_SCORE, dtype=dtype)
-        for b in range(n_scenes):
-            lo = b * tokens_per_scene
-            mask[lo:lo + tokens_per_scene, lo:lo + tokens_per_scene] = 0.0
-        _MASK_CACHE[key] = mask
-    return mask
-
-
 def flat_rows(stacked: np.ndarray, dtype) -> Tensor:
     """(B, k, w) per-scene rows as one (B*k, w) input, scene-major."""
     return Tensor(stacked.reshape(-1, stacked.shape[-1]).astype(dtype, copy=False))
-
-
-def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size), dtype=blocks[0].dtype)
-    lo = 0
-    for b in blocks:
-        hi = lo + b.shape[0]
-        out[lo:hi, lo:hi] = b
-        lo = hi
-    return out
 
 
 class QNetwork:
@@ -374,13 +330,11 @@ class GitsrNetwork(QNetwork):
 
     def forward_batch(self, states: StateBatch) -> Tensor:
         dtype = self.store.dtype
-        n_scenes, m, _ = states.sr.shape
-        mask = block_attention_mask(n_scenes, m, dtype)
+        n_scenes, n, _ = states.features.shape
         x = transformer_encode(flat_rows(states.sr, dtype), self.transformer,
-                               self.net_cfg.n_heads, mask)
-        e_norm = block_diag([gcn_normalize(a.astype(dtype)) for a in states.adjacency])
+                               self.net_cfg.n_heads, n_scenes)
+        e_norm = gcn_normalize(states.adjacency.astype(dtype))
         h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights)
-        n = states.features.shape[1]
         cav_rows = (np.arange(n_scenes)[:, None] * n + states.cav_ids).reshape(-1)
         return q_head(x, h, cav_rows, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
@@ -393,10 +347,8 @@ class TransformerOnlyNetwork(QNetwork):
         self._init_qhead(rng, self.net_cfg.d_model)
 
     def forward_batch(self, states: StateBatch) -> Tensor:
-        dtype = self.store.dtype
-        n_scenes, m, _ = states.sr.shape
-        x = transformer_encode(flat_rows(states.sr, dtype), self.transformer,
-                               self.net_cfg.n_heads, block_attention_mask(n_scenes, m, dtype))
+        x = transformer_encode(flat_rows(states.sr, self.store.dtype), self.transformer,
+                               self.net_cfg.n_heads, len(states.sr))
         return q_head(x, None, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 

@@ -137,6 +137,30 @@ def test_evaluate_zero_episodes_gives_header_only(trained_run, tmp_path, capsys)
     assert aggregate == {"episodes": 0}
 
 
+def test_evaluate_negative_episodes_exits_2(trained_run, tmp_path, capsys):
+    out_csv = tmp_path / "eval.csv"
+    code = main(["evaluate", "--config", trained_run["config"],
+                 "--checkpoint", str(trained_run["checkpoint"]),
+                 "--episodes", "-3", "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_negative_seed_exits_2_without_outputs(trained_run, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    checkpoint = ["--checkpoint", str(trained_run["checkpoint"])] if command == "evaluate" else []
+    code = main([command, "--config", trained_run["config"], *checkpoint,
+                 "--seed", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "seeds" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_evaluate_checkpoint_config_mismatch(trained_run, tmp_path, capsys):
     code = main(["evaluate", "--config", trained_run["config"],
                  "--checkpoint", str(trained_run["checkpoint"]),
@@ -172,8 +196,9 @@ def damaged_checkpoint(trained_run, tmp_path, damage_manifest=None):
 
 def exits_2_with_one_line_error(command, trained_run, ckpt, tmp_path, capsys):
     out = tmp_path / "out.csv"
+    episodes = ["--episodes", "1"] if command == "evaluate" else []
     code = main([command, "--config", trained_run["config"], "--checkpoint", str(ckpt),
-                 "--episodes", "1", "--out", str(out)])
+                 *episodes, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -252,6 +277,15 @@ def test_trace_replays_bit_exactly(trained_run, tmp_path, capsys):
             assert repr(veh.x) == r["x"] and repr(veh.v) == r["v"]
             assert str(veh.lane) == r["lane"]
             assert veh.outcome.value == r["outcome"]
+
+
+def test_trace_rejects_episodes(trained_run, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--config", trained_run["config"],
+              "--checkpoint", str(trained_run["checkpoint"]),
+              "--episodes", "3", "--out", str(tmp_path / "trace.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_trace_step0_rows_have_no_action_or_reward(trained_run, tmp_path, capsys):

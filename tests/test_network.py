@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from _helpers import random_rollout, small_experiment, tiny_network
-from ramplab.autodiff import Tensor
+from ramplab.autodiff import Tensor, graph_nodes
 from ramplab.config import MODEL_VARIANTS, NetworkConfig
 from ramplab.network import (
     CheckpointError,
     TrainingError,
-    block_attention_mask,
-    block_diag,
     build_network,
     gcn_forward,
     gcn_normalize,
@@ -35,7 +33,7 @@ def mha_params(rng, d):
             for _ in range(4)]
 
 
-def naive_mha(x, wq, wk, wv, wo, n_heads, mask=None):
+def naive_mha(x, wq, wk, wv, wo, n_heads):
     d = x.shape[1]
     dh = d // n_heads
     q, k, v = x @ wq, x @ wk, x @ wv
@@ -43,8 +41,6 @@ def naive_mha(x, wq, wk, wv, wo, n_heads, mask=None):
     for i in range(n_heads):
         sl = slice(i * dh, (i + 1) * dh)
         s = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
-        if mask is not None:
-            s = s + mask
         e = np.exp(s - s.max(axis=1, keepdims=True))
         outs.append((e / e.sum(axis=1, keepdims=True)) @ v[:, sl])
     return np.hstack(outs) @ wo
@@ -92,8 +88,8 @@ def test_attention_block_mask_isolates_scenes():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
     wq, wk, wv, wo = mha_params(rng, 8)
-    mask = block_attention_mask(2, 3, np.float64)
-    stacked = multi_head_attention(Tensor(np.vstack([a, b])), wq, wk, wv, wo, 2, mask).data
+    stacked = multi_head_attention(Tensor(np.vstack([a, b])), wq, wk, wv, wo, 2,
+                                   n_scenes=2).data
     alone_a = multi_head_attention(Tensor(a), wq, wk, wv, wo, 2).data
     alone_b = multi_head_attention(Tensor(b), wq, wk, wv, wo, 2).data
     np.testing.assert_allclose(stacked, np.vstack([alone_a, alone_b]), rtol=1e-9, atol=1e-12)
@@ -159,6 +155,17 @@ def test_gcn_forward_matches_naive_loop():
     assert np.all(got >= 0.0)       # final layer is rectified too
 
 
+def test_gcn_forward_stacked_scenes_match_single_calls():
+    rng = np.random.default_rng(8)
+    adj = (rng.random((3, 4, 4)) < 0.5).astype(float)
+    feats = rng.normal(size=(12, 5))
+    weights = [Tensor(rng.normal(size=(5, 3)), requires_grad=True)]
+    stacked = gcn_forward(Tensor(feats), gcn_normalize(adj), weights).data
+    singles = [gcn_forward(Tensor(feats[4 * b:4 * b + 4]), gcn_normalize(adj[b]), weights).data
+               for b in range(3)]
+    np.testing.assert_allclose(stacked, np.vstack(singles), rtol=1e-12, atol=1e-14)
+
+
 # -- q head ---------------------------------------------------------------
 
 
@@ -196,23 +203,6 @@ def test_q_head_zero_input_yields_bias_row():
     np.testing.assert_allclose(out, np.tile(want, (3, 1)), rtol=1e-12)
 
 
-# -- batching helpers -----------------------------------------------------
-
-
-def test_block_attention_mask_layout_and_cache():
-    assert block_attention_mask(1, 4, np.float32) is None
-    mask = block_attention_mask(2, 3, np.float32)
-    assert mask.shape == (6, 6)
-    assert np.all(mask[:3, :3] == 0.0) and np.all(mask[3:, 3:] == 0.0)
-    assert np.all(mask[:3, 3:] < -1e8) and np.all(mask[3:, :3] < -1e8)
-    assert block_attention_mask(2, 3, np.float32) is mask
-
-
-def test_block_diag_layout():
-    out = block_diag([np.ones((2, 2)), 2 * np.ones((1, 1))])
-    np.testing.assert_allclose(out, [[1, 1, 0], [1, 1, 0], [0, 0, 2]])
-
-
 # -- network variants -----------------------------------------------------
 
 
@@ -236,6 +226,14 @@ def test_batched_forward_matches_singles(variant):
     singles = np.vstack([net.forward(s).data for s in snaps])
     assert batched.shape == (6, 9)
     np.testing.assert_allclose(batched, singles, rtol=1e-9, atol=1e-11)
+
+
+def test_gitsr_tape_size_does_not_grow_with_batch():
+    cfg = small_experiment(model_variant="gitsr")
+    net = build_network(cfg, seed=2)
+    snaps = [make_snap(s, cfg.scenario) for s in range(8)]
+    sizes = [len(graph_nodes(net.forward_batch(stack_states(snaps[:b])))) for b in (1, 8)]
+    assert sizes[0] == sizes[1]
 
 
 def test_baseline_rows_are_independent():
