@@ -395,18 +395,21 @@ BLOB_NAME = "params.bin"
 
 
 def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
-    """Write a manifest plus a little-endian float32 parameter blob."""
+    """Write a manifest plus a little-endian float32 parameter blob.  Refuses
+    (``CheckpointError``, nothing written) a network with a non-finite value."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     chunks = []
     offset = 0
     for name, tensor in net.store.items():
+        if not np.isfinite(tensor.data).all():
+            raise CheckpointError(f"refusing to save non-finite values in parameter {name!r}")
         raw = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
         entries.append({"name": name, "shape": list(tensor.data.shape), "offset": offset})
         chunks.append(raw)
         offset += len(raw)
     manifest = {"format": 1, "dtype": "<f4", "meta": net.meta(), "params": entries}
+    directory.mkdir(parents=True, exist_ok=True)
     (directory / BLOB_NAME).write_bytes(b"".join(chunks))
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -1,4 +1,6 @@
-"""Adam with bias correction, plus global gradient-norm clipping."""
+"""Adam with bias correction, plus global gradient-norm clipping.
+
+Both update in place: a step allocates no array the size of a parameter."""
 from __future__ import annotations
 
 import math
@@ -14,18 +16,22 @@ def clip_global_grad_norm(store: ParamStore, max_norm: float) -> float:
     total = 0.0
     for _, tensor in store.items():
         if tensor.grad is not None:
-            total += float((tensor.grad.astype(np.float64) ** 2).sum())
+            # float64 accumulation without a float64 copy: float32 squares
+            # overflow for entries above ~1.8e19
+            g = tensor.grad.reshape(-1)
+            total += float(np.einsum("i,i->", g, g, dtype=np.float64))
     norm = math.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm
         for _, tensor in store.items():
             if tensor.grad is not None:
-                tensor.grad = tensor.grad * factor
+                # backward gives every leaf its own gradient array
+                tensor.grad *= factor
     return norm
 
 
 class Adam:
-    """Standard Adam over a parameter store.
+    """Standard Adam over a parameter store, with moments in the store's dtype.
 
     ``step`` consumes the gradients (slots are cleared afterwards); parameters
     with no gradient are left untouched and their moments do not advance.
@@ -45,20 +51,33 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(t.data, dtype=np.float64) for name, t in store.items()}
-        self.v = {name: np.zeros_like(t.data, dtype=np.float64) for name, t in store.items()}
+        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self._scratch = {name: np.empty_like(t.data) for name, t in store.items()}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        # the bias corrections fold into two scalars (Kingma & Ba, section 2)
+        sqrt_bc2 = math.sqrt(1.0 - b2 ** self.t)
+        step_size = self.lr / (1.0 - b1 ** self.t)
         for name, tensor in self.store.items():
             g = tensor.grad
             if g is None:
                 continue
-            g = g.astype(np.float64)
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            tensor.data[...] = tensor.data - update.astype(tensor.data.dtype)
+            m, v, a = self.m[name], self.v[name], self._scratch[name]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - b2
+            v += a
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.sqrt(v, out=a)
+            a /= sqrt_bc2
+            a += self.eps
+            np.divide(m, a, out=a)
+            a *= step_size
+            tensor.data -= a
             tensor.grad = None

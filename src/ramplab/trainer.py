@@ -172,9 +172,10 @@ def rollout(
     """Play ``world`` to the end of its episode, snapshotting what ``variant``
     reads.  ``policy(s)`` gives one action index per CAV row (filler on
     inactive rows); ``on_step(s, actions, reward, s_next, done)`` runs after
-    each world step.  Returns the return, success rate, collisions and the
-    mean over steps of the active CAVs' mean speed (0.0 if no step had one),
-    in :class:`EpisodeMetrics` field order."""
+    each world step; without it the terminal state, which only ``on_step``
+    reads, is not snapshotted.  Returns the return, success rate, collisions
+    and the mean over steps of the active CAVs' mean speed (0.0 if no step
+    had one), in :class:`EpisodeMetrics` field order."""
     with_features, with_adjacency = snapshot_flags(variant)
 
     def snapshot() -> StateSnapshot:
@@ -194,13 +195,13 @@ def rollout(
         }
         events = step(world, commands, cfg.scenario)
         reward = compute_reward(world, events, cfg.training.weights, cfg.scenario)
-        snap_next = snapshot()
         done = episode_done(world, cfg.scenario)
         return_total += reward.total
         active_now = [world.vehicle(vid) for vid in world.active_cav_ids()]
         if active_now:
             speed_sum += sum(v.v for v in active_now) / len(active_now)
             speed_steps += 1
+        snap_next = snapshot() if on_step is not None or not done else None
         if on_step is not None:
             on_step(snap, actions, reward, snap_next, done)
         snap = snap_next

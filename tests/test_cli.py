@@ -14,7 +14,7 @@ from ramplab.cli import TRACE_COLUMNS, main
 from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS
 from ramplab.runs import read_metrics_csv
 from ramplab.simulation import ActionCommand, reset, step
-from ramplab.trainer import METRICS_COLUMNS
+from ramplab.trainer import METRICS_COLUMNS, Trainer
 
 
 def write_config(path, cfg=None):
@@ -238,6 +238,25 @@ def test_non_finite_weight_exits_2(trained_run, tmp_path, capsys, bad):
     (ckpt / "params.bin").write_bytes(bytes(blob))
     err = exits_2_with_one_line_error("evaluate", trained_run, ckpt, tmp_path, capsys)
     assert "non-finite" in err and "embed.w" in err
+
+
+def test_train_refuses_to_checkpoint_non_finite_weights(tmp_path, capsys, monkeypatch):
+    run_episode = Trainer.run_episode
+
+    def poisoned(self):
+        metrics = run_episode(self)
+        self.net.store.params["embed.w"].data[0, 0] = np.nan
+        return metrics
+
+    monkeypatch.setattr(Trainer, "run_episode", poisoned)
+    out = tmp_path / "run"
+    code = main(["train", "--config", write_config(tmp_path / "config.json"),
+                 "--out", str(out), "--episodes", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite" in err and "embed.w" in err
+    assert not list((out / "seed_1").glob("checkpoints/*/*"))
 
 
 # -- trace ----------------------------------------------------------------

@@ -321,6 +321,15 @@ def test_checkpoint_round_trip_is_bit_exact(variant, tmp_path):
     np.testing.assert_array_equal(net.q_values(snap), restored.q_values(snap))
 
 
+def test_save_checkpoint_refuses_non_finite_weights(tmp_path):
+    net = build_network(small_experiment(), seed=6)
+    net.store.params["qhead.w1"].data[0, 0] = np.nan
+    with pytest.raises(CheckpointError, match="qhead.w1"):
+        save_checkpoint(tmp_path / "ckpt", net)
+    assert not (tmp_path / "ckpt" / "manifest.json").exists()
+    assert not (tmp_path / "ckpt" / "params.bin").exists()
+
+
 def test_checkpoint_rejects_mismatched_architecture(tmp_path):
     cfg = small_experiment(model_variant="gitsr")
     save_checkpoint(tmp_path, build_network(cfg, seed=7))

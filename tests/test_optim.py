@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ramplab.network import ParamStore
+from ramplab.config import ExperimentConfig
+from ramplab.network import ParamStore, build_network
 from ramplab.optim import Adam, clip_global_grad_norm
 
 
@@ -108,3 +111,73 @@ def test_clip_skips_missing_gradients():
     assert norm == pytest.approx(6.0)
     assert store.params["a"].grad[0, 0] == pytest.approx(3.0)
     assert store.params["b"].grad is None
+
+
+def test_clip_norm_of_huge_gradients_is_finite_and_exact():
+    # squares of ~1e20 overflow float32, so the reduction must run in float64
+    store = ParamStore(dtype=np.float32)
+    store.add("a", np.zeros((1, 2)))
+    store.add("b", np.zeros((1, 1)))
+    store.params["a"].grad = np.array([[3e20, 0.0]], dtype=np.float32)
+    store.params["b"].grad = np.array([[4e20]], dtype=np.float32)
+    norm = clip_global_grad_norm(store, max_norm=1.0)
+    assert norm == pytest.approx(5e20, rel=1e-6)
+    assert store.params["a"].grad[0, 0] == pytest.approx(0.6, rel=1e-6)
+    assert store.params["b"].grad[0, 0] == pytest.approx(0.8, rel=1e-6)
+
+
+def unit_normal_grads(store, rng):
+    for _, tensor in store.items():
+        tensor.grad = rng.standard_normal(tensor.data.shape).astype(store.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_moments_take_the_store_dtype(dtype):
+    store = ParamStore(dtype=dtype)
+    store.add("w", np.ones((3, 2)))
+    opt = Adam(store, lr=0.1)
+    unit_normal_grads(store, np.random.default_rng(0))
+    opt.step()
+    assert opt.m["w"].dtype == opt.v["w"].dtype == store.dtype
+    assert store.params["w"].data.dtype == store.dtype
+
+
+def test_float32_store_tracks_float64_store():
+    rng = np.random.default_rng(7)
+    init = {"w": rng.standard_normal((16, 8)), "b": rng.standard_normal((1, 8))}
+    stores = {}
+    for dtype in (np.float32, np.float64):
+        stores[dtype] = ParamStore(dtype=dtype)
+        for name, arr in init.items():
+            stores[dtype].add(name, arr)
+    opts = {dtype: Adam(store, lr=1e-2) for dtype, store in stores.items()}
+    grad_rng = np.random.default_rng(8)
+    for _ in range(50):
+        grads = {name: grad_rng.standard_normal(arr.shape) for name, arr in init.items()}
+        for dtype, store in stores.items():
+            for name, g in grads.items():
+                store.params[name].grad = g.astype(dtype)
+            opts[dtype].step()
+    for name in init:
+        np.testing.assert_allclose(stores[np.float32].params[name].data,
+                                   stores[np.float64].params[name].data, rtol=0, atol=1e-5)
+
+
+def test_clip_and_step_allocate_no_parameter_sized_arrays():
+    store = build_network(ExperimentConfig(), seed=0).store
+    assert store.dtype == np.float32
+    param_bytes = sum(t.data.nbytes for _, t in store.items())
+    opt = Adam(store, lr=1e-3)
+    rng = np.random.default_rng(0)
+    unit_normal_grads(store, rng)
+    clip_global_grad_norm(store, 10.0)
+    opt.step()                        # warm-up: lazy set-up is not a per-step cost
+    unit_normal_grads(store, rng)
+    tracemalloc.start()
+    try:
+        clip_global_grad_norm(store, 10.0)
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes / 4

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 from _helpers import random_rollout, scenario, small_experiment, vehicle, world_of
 from ramplab import autodiff as ad
+from ramplab import trainer as trainer_module
 from ramplab.autodiff import no_grad
 from ramplab.config import MODEL_VARIANTS, EpsilonConfig
 from ramplab.network import TrainingError, build_network
 from ramplab.optim import Adam, clip_global_grad_norm
 from ramplab.replay import Batch
 from ramplab.representation import StateBatch, build_state, stack_states
-from ramplab.simulation import FILLER_ACTION_INDEX, Outcome, VehicleKind
+from ramplab.simulation import FILLER_ACTION_INDEX, Outcome, VehicleKind, reset
 from ramplab.trainer import (
     MAX_GRAD_NORM,
     EpisodeMetrics,
@@ -25,6 +27,7 @@ from ramplab.trainer import (
     evaluate_policy,
     greedy_actions,
     metrics_csv_row,
+    rollout,
     select_actions,
     td_targets,
     train_on_batch,
@@ -404,3 +407,26 @@ def test_evaluate_policy_is_greedy_and_deterministic():
     assert [m.return_total for m in a] != [m.return_total for m in c]
     assert all(m.epsilon == 0.0 for m in a)
     assert [m.episode for m in a] == [0, 1, 2]
+
+
+def test_rollout_snapshots_the_terminal_state_only_for_on_step(monkeypatch):
+    cfg = small_experiment()
+    net = build_network(cfg, seed=10)
+    calls = []
+
+    def counting_build_state(*args, **kwargs):
+        calls.append(1)
+        return build_state(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "build_state", counting_build_state)
+    policy = functools.partial(greedy_actions, net)
+    for with_on_step in (False, True):
+        calls.clear()
+        next_states = []
+        world = reset(cfg.scenario, 3)
+        rollout(world, cfg, net.variant, policy,
+                (lambda s, a, r, s_next, done: next_states.append(s_next))
+                if with_on_step else None)
+        assert world.step_index > 0
+        assert len(calls) == world.step_index + with_on_step
+        assert all(s_next is not None for s_next in next_states)
