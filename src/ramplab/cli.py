@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, episodes=True):
+    def common(p, checkpoint=False, episodes=True, cell=True):
         p.add_argument("--config", required=True, help="experiment config JSON")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint directory")
@@ -236,30 +236,25 @@ def build_parser() -> argparse.ArgumentParser:
         if episodes:
             p.add_argument("--episodes", type=int, help="override episode count")
         p.add_argument("--out", help="output directory or file")
+        if cell:
+            p.add_argument("--variant", choices=MODEL_VARIANTS, help="override model variant")
+            p.add_argument("--representation", choices=REPRESENTATIONS,
+                           help="override grid representation")
 
     p_train = sub.add_parser("train", help="train the configured variant over all seeds")
     common(p_train)
-    p_train.add_argument("--variant", choices=MODEL_VARIANTS, help="override model variant")
-    p_train.add_argument("--representation", choices=REPRESENTATIONS,
-                         help="override grid representation")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="greedy rollouts from a checkpoint")
     common(p_eval, checkpoint=True)
-    p_eval.add_argument("--variant", choices=MODEL_VARIANTS, help="override model variant")
-    p_eval.add_argument("--representation", choices=REPRESENTATIONS,
-                        help="override grid representation")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_ablate = sub.add_parser("ablate", help="run the variant x representation grid")
-    common(p_ablate)
+    common(p_ablate, cell=False)   # ablate runs every cell
     p_ablate.set_defaults(func=cmd_ablate)
 
     p_trace = sub.add_parser("trace", help="dump one greedy episode as CSV")
     common(p_trace, checkpoint=True, episodes=False)
-    p_trace.add_argument("--variant", choices=MODEL_VARIANTS, help="override model variant")
-    p_trace.add_argument("--representation", choices=REPRESENTATIONS,
-                         help="override grid representation")
     p_trace.set_defaults(func=cmd_trace)
     return parser
 
@@ -268,10 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from ramplab.representation import (
     StateBatch,
     StateSnapshot,
     feature_width,
+    grid_rows,
     grid_width,
     stack_states,
 )
@@ -331,7 +334,7 @@ class GitsrNetwork(QNetwork):
     def forward_batch(self, states: StateBatch) -> Tensor:
         dtype = self.store.dtype
         n_scenes, n, _ = states.features.shape
-        x = transformer_encode(flat_rows(states.sr, dtype), self.transformer,
+        x = transformer_encode(flat_rows(grid_rows(states), dtype), self.transformer,
                                self.net_cfg.n_heads, n_scenes)
         e_norm = gcn_normalize(states.adjacency.astype(dtype))
         h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights)
@@ -347,7 +350,7 @@ class TransformerOnlyNetwork(QNetwork):
         self._init_qhead(rng, self.net_cfg.d_model)
 
     def forward_batch(self, states: StateBatch) -> Tensor:
-        x = transformer_encode(flat_rows(states.sr, self.store.dtype), self.transformer,
+        x = transformer_encode(flat_rows(grid_rows(states), self.store.dtype), self.transformer,
                                self.net_cfg.n_heads, len(states.sr))
         return q_head(x, None, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
@@ -363,7 +366,7 @@ class BaselineNetwork(QNetwork):
 
     def forward_batch(self, states: StateBatch) -> Tensor:
         own = np.take_along_axis(states.features, states.cav_ids[:, :, None], axis=1)
-        rows = flat_rows(np.concatenate([own, states.sr], axis=2), self.store.dtype)
+        rows = flat_rows(np.concatenate([own, grid_rows(states)], axis=2), self.store.dtype)
         return q_head(rows, None, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
@@ -396,7 +399,11 @@ BLOB_NAME = "params.bin"
 
 def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
     """Write a manifest plus a little-endian float32 parameter blob.  Refuses
-    (``CheckpointError``, nothing written) a network with a non-finite value."""
+    (``CheckpointError``, nothing written) a network with a non-finite value.
+
+    Both files are written into a sibling temporary directory that is then
+    renamed into place, so a failed save leaves any previous checkpoint at
+    ``directory`` whole."""
     directory = Path(directory)
     entries = []
     chunks = []
@@ -409,9 +416,21 @@ def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
         chunks.append(raw)
         offset += len(raw)
     manifest = {"format": 1, "dtype": "<f4", "meta": net.meta(), "params": entries}
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / BLOB_NAME).write_bytes(b"".join(chunks))
-    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
+    retired = staging.with_name(staging.name + ".old")
+    staging.mkdir()
+    try:
+        (staging / BLOB_NAME).write_bytes(b"".join(chunks))
+        (staging / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+        if directory.exists():
+            # a rename cannot replace a non-empty directory: move the old one aside
+            directory.rename(retired)
+        staging.rename(directory)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    shutil.rmtree(retired, ignore_errors=True)
 
 
 def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -9,6 +9,10 @@ import numpy as np
 
 from ramplab.network import ParamStore
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def clip_global_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
@@ -37,19 +41,9 @@ class Adam:
     with no gradient are left untouched and their moments do not advance.
     """
 
-    def __init__(
-        self,
-        store: ParamStore,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
@@ -57,26 +51,25 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         # the bias corrections fold into two scalars (Kingma & Ba, section 2)
-        sqrt_bc2 = math.sqrt(1.0 - b2 ** self.t)
-        step_size = self.lr / (1.0 - b1 ** self.t)
+        sqrt_bc2 = math.sqrt(1.0 - BETA2 ** self.t)
+        step_size = self.lr / (1.0 - BETA1 ** self.t)
         for name, tensor in self.store.items():
             g = tensor.grad
             if g is None:
                 continue
             m, v, a = self.m[name], self.v[name], self._scratch[name]
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=a)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=a)
             m += a
-            v *= b2
+            v *= BETA2
             np.multiply(g, g, out=a)
-            a *= 1.0 - b2
+            a *= 1.0 - BETA2
             v += a
             # lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.sqrt(v, out=a)
             a /= sqrt_bc2
-            a += self.eps
+            a += EPS
             np.divide(m, a, out=a)
             a *= step_size
             tensor.data -= a

@@ -32,23 +32,16 @@ class ReplayBuffer:
 
     ``shapes`` gives the state fields to keep and their per-state shapes (see
     :func:`~ramplab.representation.snapshot_shapes`); each has one ring for s
-    and one for s_next.  With ``shared_rows`` (scene-centric grids: every
-    alive CAV's row is the same scene grid, and other rows are zero) the grid
-    is stored once per state and the rows are rebuilt on sampling.  The rings
-    come from ``np.zeros``, so their pages are touched only as the buffer fills.
+    and one for s_next.  The rings come from ``np.zeros``, so their pages are
+    touched only as the buffer fills.
     """
 
-    def __init__(self, capacity: int, seed: int, shapes: dict[str, tuple[int, ...]],
-                 shared_rows: bool):
+    def __init__(self, capacity: int, seed: int, shapes: dict[str, tuple[int, ...]]):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
         self._adds = 0
-        self._shared_rows = shared_rows
-
-        if shared_rows:
-            shapes = {**shapes, "sr": shapes["sr"][1:]}   # one grid per state
 
         def rings() -> dict[str, np.ndarray]:
             return {name: np.zeros((capacity, *shape), dtype=RING_DTYPES.get(name, np.float32))
@@ -65,20 +58,13 @@ class ReplayBuffer:
     def add(self, s: StateSnapshot, actions: np.ndarray, reward: float,
             s_next: StateSnapshot, done: bool) -> None:
         slot = self._adds % self.capacity
-        self._put(self._s, slot, s)
-        self._put(self._s_next, slot, s_next)
+        for rings, snap in ((self._s, s), (self._s_next, s_next)):
+            for name, ring in rings.items():
+                ring[slot] = getattr(snap, name)
         self._actions[slot] = actions
         self._reward[slot] = reward
         self._done[slot] = done
         self._adds += 1
-
-    def _put(self, rings: dict[str, np.ndarray], slot: int, snap: StateSnapshot) -> None:
-        for name, ring in rings.items():
-            value = getattr(snap, name)
-            if name == "sr" and self._shared_rows:
-                # the first alive row is the grid (all rows are zero if none is)
-                value = value[np.argmax(snap.alive)]
-            ring[slot] = value
 
     def sample(self, batch_size: int) -> Batch:
         """Uniform sample without replacement."""
@@ -94,8 +80,4 @@ class ReplayBuffer:
         )
 
     def _states(self, rings: dict[str, np.ndarray], idx: np.ndarray) -> StateBatch:
-        got = {name: ring[idx] for name, ring in rings.items()}
-        if self._shared_rows:
-            got["sr"] = np.where(got["alive"][:, :, None], got["sr"][:, None, :],
-                                 np.float32(0.0))
-        return StateBatch(**got)
+        return StateBatch(**{name: ring[idx] for name, ring in rings.items()})

@@ -16,6 +16,7 @@ distances with 1.0 standing in for "no neighbour".
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -112,63 +113,37 @@ def build_scene_representation(world: WorldState, config: ScenarioConfig) -> np.
     return out
 
 
-def build_scene_centric_representation(world: WorldState, config: ScenarioConfig) -> np.ndarray:
-    """The shared scene grid flattened and repeated per CAV row (zeros for
-    inactive CAVs, which no longer observe anything)."""
-    cav_ids = world.cav_ids()
-    flat = build_scene_grid(world, config).reshape(-1)
-    out = np.zeros((len(cav_ids), flat.size))
-    for row, vid in enumerate(cav_ids):
-        if world.vehicle(vid).active:
-            out[row] = flat
-    return out
-
-
-def _nearest_in_lane(
-    world: WorldState, x: float, lane: int, exclude: int, ahead: bool
-) -> float | None:
-    """Center-to-center distance to the nearest active vehicle ahead/behind."""
-    best = None
-    for veh in world.vehicles:
-        if not veh.active or veh.lane != lane or veh.id == exclude:
-            continue
-        dx = veh.x - x if ahead else x - veh.x
-        if dx > 0 and (best is None or dx < best):
-            best = dx
-    return best
-
-
 def build_feature_matrix(world: WorldState, config: ScenarioConfig) -> np.ndarray:
     """Per-vehicle node features, one row per vehicle id; inactive rows zero.
 
     Columns: x / road_length, v / v_max, lane, intention code, then the
     normalised distance to the nearest leader in each lane and to the nearest
-    follower in each lane (1.0 when there is none).
+    follower in each lane (1.0 when there is none).  Leaders are strictly
+    ahead and followers strictly behind, so neither the vehicle itself nor
+    one at the same x counts.
     """
-    n = len(world.vehicles)
-    out = np.zeros((n, feature_width(config)))
-    for veh in world.vehicles:
-        if not veh.active:
-            continue
-        row = [
+    out = np.zeros((len(world.vehicles), feature_width(config)))
+    active = [veh for veh in world.vehicles if veh.active]
+    lanes = [sorted(veh.x for veh in active if veh.lane == lane)
+             for lane in range(1, config.n_lanes + 1)]
+    for veh in active:
+        leaders, followers = [], []
+        for xs in lanes:
+            ahead, behind = bisect_right(xs, veh.x), bisect_left(xs, veh.x) - 1
+            leaders.append((xs[ahead] - veh.x) / config.road_length if ahead < len(xs) else 1.0)
+            followers.append((veh.x - xs[behind]) / config.road_length if behind >= 0 else 1.0)
+        out[veh.id] = [
             veh.x / config.road_length,
             veh.v / config.v_max,
             float(veh.lane),
             KIND_CODE[veh.kind],
+            *leaders,
+            *followers,
         ]
-        for ahead in (True, False):
-            for lane in range(1, config.n_lanes + 1):
-                dist = _nearest_in_lane(world, veh.x, lane, veh.id, ahead)
-                row.append(1.0 if dist is None else dist / config.road_length)
-        out[veh.id] = row
     return out
 
 
-def build_adjacency(
-    world: WorldState,
-    config: ScenarioConfig,
-    perception_radius: float = PERCEPTION_RADIUS_M,
-) -> np.ndarray:
+def build_adjacency(world: WorldState, config: ScenarioConfig) -> np.ndarray:
     """Symmetric 0/1 interaction matrix with self-loops on every vehicle.
 
     Active CAVs are fully connected to each other; an active CAV links to an
@@ -182,7 +157,7 @@ def build_adjacency(
         for j in cavs[i_pos + 1:]:
             adj[i, j] = adj[j, i] = 1.0
         for j in world.active_hdv_ids():
-            if abs(world.vehicle(i).x - world.vehicle(j).x) <= perception_radius:
+            if abs(world.vehicle(i).x - world.vehicle(j).x) <= PERCEPTION_RADIUS_M:
                 adj[i, j] = adj[j, i] = 1.0
     return adj
 
@@ -197,8 +172,10 @@ def build_mask(world: WorldState) -> np.ndarray:
 class StateSnapshot:
     """Everything the networks may consume about one world state, in float32.
 
-    ``sr`` rows follow ``cav_ids`` order, ``features``/``adjacency``/``mask``
-    rows follow vehicle id order.  ``alive`` flags which CAVs were active when
+    ``sr`` is one agent-centric grid row per CAV in ``cav_ids`` order, or the
+    one flattened scene-centric grid; :func:`grid_rows` gives the per-CAV rows
+    the networks read.  ``features``/``adjacency``/``mask`` rows follow
+    vehicle id order.  ``alive`` flags which CAVs were active when
     the snapshot was taken.  Models that ignore the graph leave ``features``
     and/or ``adjacency`` unbuilt (None).
     """
@@ -218,8 +195,9 @@ class StateSnapshot:
 @dataclass
 class StateBatch:
     """``B`` states stacked along a leading axis, as the networks take them:
-    ``sr`` (B, m, w), ``cav_ids`` and ``alive`` (B, m), ``features``
-    (B, n, f) and ``adjacency`` (B, n, n), None where the variant reads none."""
+    ``sr`` (B, m, w) or (B, 1, w), ``cav_ids`` and ``alive`` (B, m),
+    ``features`` (B, n, f) and ``adjacency`` (B, n, n), None where the
+    variant reads none."""
 
     sr: np.ndarray
     cav_ids: np.ndarray
@@ -237,6 +215,13 @@ def stack_states(snaps: list[StateSnapshot]) -> StateBatch:
     return StateBatch(**{f.name: stacked(f.name) for f in fields(StateBatch)})
 
 
+def grid_rows(states: StateBatch) -> np.ndarray:
+    """(B, m, w) grid rows, one per CAV: its own agent-centric row or the
+    shared scene grid, +0.0 for CAVs inactive in that state.  A product with
+    ``alive`` would give -0.0 in the negated CAV cells of a scene grid."""
+    return np.where(states.alive[:, :, None], states.sr, np.float32(0.0))
+
+
 def snapshot_shapes(
     config: ScenarioConfig,
     representation: str,
@@ -246,7 +231,9 @@ def snapshot_shapes(
 ) -> dict[str, tuple[int, ...]]:
     """Shapes of the array fields :func:`build_state` fills, by field name."""
     m, n = config.n_cav, config.n_cav + config.n_hdv
-    shapes = {"sr": (m, grid_width(config, representation)), "cav_ids": (m,), "alive": (m,)}
+    grid_count = m if representation == "agent_centric" else 1
+    shapes = {"sr": (grid_count, grid_width(config, representation)),
+              "cav_ids": (m,), "alive": (m,)}
     if with_features:
         shapes["features"] = (n, feature_width(config))
     if with_adjacency:
@@ -266,7 +253,7 @@ def build_state(
     if representation == "agent_centric":
         sr = build_scene_representation(world, config)
     elif representation == "scene_centric":
-        sr = build_scene_centric_representation(world, config)
+        sr = build_scene_grid(world, config).reshape(1, -1)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     cav_ids = tuple(world.cav_ids())

@@ -166,12 +166,13 @@ def reset(config: ScenarioConfig, seed: int) -> WorldState:
     identical worlds.
     """
     config.validate()
-    per_lane = int(SPAWN_LENGTH // (config.idm.s0 + config.vehicle_length))
+    capacity = spawn_capacity(config)
+    per_lane = capacity // config.n_lanes
     n_total = config.n_cav + config.n_hdv
-    if n_total > per_lane * config.n_lanes:
+    if n_total > capacity:
         raise ConfigError(
             f"{n_total} vehicles exceed spawn capacity "
-            f"{per_lane * config.n_lanes} ({per_lane} slots x {config.n_lanes} lanes)"
+            f"{capacity} ({per_lane} slots x {config.n_lanes} lanes)"
         )
     spacing = SPAWN_LENGTH / per_lane
     slots = [

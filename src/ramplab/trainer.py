@@ -226,7 +226,6 @@ class Trainer:
             cfg.training.buffer_capacity, int(buffer_ss.generate_state(1)[0]),
             snapshot_shapes(cfg.scenario, cfg.representation,
                             with_features=with_features, with_adjacency=with_adjacency),
-            shared_rows=cfg.representation == "scene_centric",
         )
         self.explore_rng = np.random.default_rng(explore_ss)
         self.env_seed_rng = np.random.default_rng(env_ss)

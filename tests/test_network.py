@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +329,33 @@ def test_save_checkpoint_refuses_non_finite_weights(tmp_path):
         save_checkpoint(tmp_path / "ckpt", net)
     assert not (tmp_path / "ckpt" / "manifest.json").exists()
     assert not (tmp_path / "ckpt" / "params.bin").exists()
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    cfg = small_experiment(model_variant="gitsr")
+    old, new = build_network(cfg, seed=6), build_network(cfg, seed=7)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, old)
+
+    write_text = Path.write_text
+
+    def failing_manifest(path, *args, **kwargs):
+        if path.name == "manifest.json":
+            raise OSError("disk full")
+        return write_text(path, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "write_text", failing_manifest)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, new)
+    new.store.params["qhead.b2"].data[0, 0] = np.inf
+    with pytest.raises(CheckpointError):
+        save_checkpoint(ckpt, new)
+
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]   # no staging left behind
+    _, arrays = load_checkpoint(ckpt)
+    for name, p in old.store.items():
+        assert arrays[name].tobytes() == p.data.astype("<f4").tobytes()
 
 
 def test_checkpoint_rejects_mismatched_architecture(tmp_path):

@@ -3,7 +3,13 @@ import pytest
 
 from _helpers import scenario
 from ramplab.replay import ReplayBuffer
-from ramplab.representation import StateSnapshot, build_state, snapshot_shapes
+from ramplab.representation import (
+    StateSnapshot,
+    build_state,
+    grid_rows,
+    snapshot_shapes,
+    stack_states,
+)
 from ramplab.simulation import ActionCommand, episode_done, reset, step
 
 
@@ -16,7 +22,7 @@ def stub_snapshot(tag: int) -> StateSnapshot:
 
 def stub_buffer(capacity: int, seed: int) -> ReplayBuffer:
     shapes = {"sr": (2, 3), "cav_ids": (2,), "alive": (2,)}
-    return ReplayBuffer(capacity, seed, shapes, shared_rows=False)
+    return ReplayBuffer(capacity, seed, shapes)
 
 
 def add_stub(buf: ReplayBuffer, tag: int) -> None:
@@ -71,14 +77,13 @@ def test_capacity_one_ring():
 
 @pytest.mark.parametrize("representation", ["scene_centric", "agent_centric"])
 def test_sampled_states_equal_build_state_bit_for_bit(representation):
-    """Rows rebuilt from a once-stored scene grid, bool adjacency and the
-    other rings give back exactly what build_state made, including states
-    with inactive CAVs and terminal states with none left."""
+    """The rings (one scene grid per scene-centric state, bool adjacency)
+    give back exactly what build_state made, and the grid rows the networks
+    read from them, including states with inactive CAVs and terminal states
+    with none left."""
     config = scenario(n_cav=3, n_hdv=4, max_steps=40)
     n_episodes = 6
-    buf = ReplayBuffer(n_episodes * config.max_steps, 0,
-                       snapshot_shapes(config, representation),
-                       shared_rows=representation == "scene_centric")
+    buf = ReplayBuffer(n_episodes * config.max_steps, 0, snapshot_shapes(config, representation))
     rng = np.random.default_rng(0)
     stored = []
     for seed in range(n_episodes):
@@ -101,6 +106,8 @@ def test_sampled_states_equal_build_state_bit_for_bit(representation):
         for got, snap in ((batch.s, stored[int(tag)][0]), (batch.s_next, stored[int(tag)][1])):
             assert got.sr[b].dtype == snap.sr.dtype
             assert got.sr[b].tobytes() == snap.sr.tobytes()
+            rows = grid_rows(stack_states([snap]))[0]
+            assert grid_rows(got)[b].tobytes() == rows.tobytes()
             assert got.features[b].tobytes() == snap.features.tobytes()
             assert got.adjacency[b].astype(np.float32).tobytes() == snap.adjacency.tobytes()
             np.testing.assert_array_equal(got.alive[b], snap.alive)

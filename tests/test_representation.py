@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import random_rollout, scenario, vehicle, world_of
@@ -12,16 +12,18 @@ from ramplab.representation import (
     build_feature_matrix,
     build_local_grid,
     build_mask,
-    build_scene_centric_representation,
     build_scene_grid,
     build_scene_representation,
     build_state,
     feature_width,
+    grid_rows,
     grid_width,
     occupancy_value,
     scene_grid_cols,
+    snapshot_shapes,
+    stack_states,
 )
-from ramplab.simulation import VehicleKind
+from ramplab.simulation import KIND_CODE, VehicleKind
 
 CFG = ScenarioConfig()
 
@@ -197,12 +199,17 @@ def test_scene_centric_rows_share_one_grid():
         cav(2, kind=VehicleKind.CAV_RAMP2, lane=2, x=300.0, v=10.0, active=False),
         vehicle(3, lane=3, x=12.0, v=5.0),
     )
-    sr = build_scene_centric_representation(world, CFG)
-    flat = build_scene_grid(world, CFG).reshape(-1)
-    assert sr.shape == (3, 603)
-    assert np.allclose(sr[0], flat)
-    assert np.allclose(sr[1], flat)
-    assert np.count_nonzero(sr[2]) == 0
+    snap = build_state(world, CFG, "scene_centric")
+    flat = build_scene_grid(world, CFG).reshape(-1).astype(np.float32)
+    assert snap.sr.shape == (1, 603)
+    np.testing.assert_array_equal(snap.sr[0], flat)
+    rows = grid_rows(stack_states([snap]))[0]
+    assert rows.shape == (3, 603) and rows.dtype == np.float32
+    np.testing.assert_array_equal(rows[0], flat)
+    np.testing.assert_array_equal(rows[1], flat)
+    # the inactive CAV's row is +0.0 even under the negated CAV cells
+    assert np.count_nonzero(rows[2]) == 0 and not np.signbit(rows[2]).any()
+    assert np.signbit(flat).any()
 
 
 # -- node features --------------------------------------------------------
@@ -238,6 +245,59 @@ def test_feature_rows_inactive_zero_and_kind_codes():
     assert feats[2, 3] == 1.0
     # the inactive vehicle is invisible to the distance scan
     assert feats[1, 4] == 1.0
+
+
+def feature_matrix_oracle(world, config):
+    """Per-(vehicle, lane, direction) rescan of every vehicle, the reference
+    the sorted-lane pass of build_feature_matrix must match exactly."""
+    def nearest_in_lane(x, lane, exclude, ahead):
+        best = None
+        for veh in world.vehicles:
+            if not veh.active or veh.lane != lane or veh.id == exclude:
+                continue
+            dx = veh.x - x if ahead else x - veh.x
+            if dx > 0 and (best is None or dx < best):
+                best = dx
+        return best
+
+    out = np.zeros((len(world.vehicles), feature_width(config)))
+    for veh in world.vehicles:
+        if not veh.active:
+            continue
+        row = [veh.x / config.road_length, veh.v / config.v_max, float(veh.lane),
+               KIND_CODE[veh.kind]]
+        for ahead in (True, False):
+            for lane in range(1, config.n_lanes + 1):
+                dist = nearest_in_lane(veh.x, lane, veh.id, ahead)
+                row.append(1.0 if dist is None else dist / config.road_length)
+        out[veh.id] = row
+    return out
+
+
+# a few shared positions so that equal x, in one lane and across lanes, is common
+SHARED_X = st.sampled_from([0.0, 0.1, 0.30000000000000004, 57.0, 57.000000000000014, 400.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(list(VehicleKind)),
+        st.integers(min_value=1, max_value=3),
+        SHARED_X | st.floats(min_value=0.0, max_value=400.0),
+        st.floats(min_value=0.0, max_value=25.0),
+        st.booleans(),
+    ),
+    min_size=1, max_size=10,
+))
+@example([(VehicleKind.HDV, 1, 100.0, 5.0, True), (VehicleKind.CAV_RAMP1, 1, 100.0, 5.0, True),
+          (VehicleKind.HDV, 2, 100.0, 5.0, True), (VehicleKind.HDV, 1, 120.0, 5.0, False)])
+def test_feature_matrix_matches_rescan_oracle(specs):
+    world = world_of(*(
+        vehicle(vid, kind=kind, lane=lane, x=x, v=v, active=active)
+        for vid, (kind, lane, x, v, active) in enumerate(specs)
+    ))
+    got = build_feature_matrix(world, CFG)
+    assert got.tobytes() == feature_matrix_oracle(world, CFG).tobytes()
 
 
 # -- interaction graph ----------------------------------------------------
@@ -295,7 +355,14 @@ def test_build_state_shapes_and_flags():
                        with_features=False, with_adjacency=False)
     assert lean.features is None and lean.adjacency is None
     scene = build_state(world, CFG, "scene_centric")
-    assert scene.sr.shape == (4, 603)
+    assert scene.sr.shape == (1, 603) and scene.sr.dtype == np.float32
+    assert grid_rows(stack_states([scene])).shape == (1, 4, 603)
+    for representation, state in (("agent_centric", snap), ("scene_centric", scene)):
+        shapes = snapshot_shapes(CFG, representation)
+        assert shapes["sr"] == state.sr.shape
+        assert shapes["features"] == state.features.shape
+        assert shapes["adjacency"] == state.adjacency.shape
+        assert shapes["alive"] == shapes["cav_ids"] == state.alive.shape
     with pytest.raises(ValueError):
         build_state(world, CFG, "pixel")
 
