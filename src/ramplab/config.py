@@ -296,15 +296,3 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     cfg = _from_dict(ExperimentConfig, _read_json(path), "experiment")
     cfg.validate()
     return cfg
-
-
-def experiment_from_dict(data: dict) -> ExperimentConfig:
-    """Build and validate an experiment config from an in-memory dict."""
-    cfg = _from_dict(ExperimentConfig, data, "experiment")
-    cfg.validate()
-    return cfg
-
-
-def save_config(cfg: ScenarioConfig | ExperimentConfig, path: str | Path) -> None:
-    """Write a config back out as JSON (round-trips through the loaders)."""
-    Path(path).write_text(json.dumps(dataclasses.asdict(cfg), indent=2) + "\n")

@@ -51,8 +51,7 @@ from ramplab.representation import (
     grid_width,
     stack_states,
 )
-
-N_ACTIONS = 9
+from ramplab.simulation import N_ACTIONS
 
 
 class TrainingError(RuntimeError):

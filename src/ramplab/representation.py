@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ramplab.config import ScenarioConfig
-from ramplab.simulation import KIND_CODE, VehicleKind, WorldState
+from ramplab.simulation import KIND_CODE, VehicleKind, WorldState, lane_index
 
 CELL_M = 2.0
 GRID_RADIUS_M = 50.0
@@ -123,10 +123,8 @@ def build_feature_matrix(world: WorldState, config: ScenarioConfig) -> np.ndarra
     one at the same x counts.
     """
     out = np.zeros((len(world.vehicles), feature_width(config)))
-    active = [veh for veh in world.vehicles if veh.active]
-    lanes = [sorted(veh.x for veh in active if veh.lane == lane)
-             for lane in range(1, config.n_lanes + 1)]
-    for veh in active:
+    lanes = [[veh.x for veh in lane] for lane in lane_index(world, config.n_lanes)]
+    for veh in world.active_vehicles():
         leaders, followers = [], []
         for xs in lanes:
             ahead, behind = bisect_right(xs, veh.x), bisect_left(xs, veh.x) - 1
@@ -153,10 +151,11 @@ def build_adjacency(world: WorldState, config: ScenarioConfig) -> np.ndarray:
     n = len(world.vehicles)
     adj = np.eye(n)
     cavs = world.active_cav_ids()
+    hdvs = world.active_hdv_ids()
     for i_pos, i in enumerate(cavs):
         for j in cavs[i_pos + 1:]:
             adj[i, j] = adj[j, i] = 1.0
-        for j in world.active_hdv_ids():
+        for j in hdvs:
             if abs(world.vehicle(i).x - world.vehicle(j).x) <= PERCEPTION_RADIUS_M:
                 adj[i, j] = adj[j, i] = 1.0
     return adj

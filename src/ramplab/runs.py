@@ -62,11 +62,6 @@ def write_metrics_csv(path: str | Path, rows: list[EpisodeMetrics]) -> None:
             writer.write(row)
 
 
-def read_metrics_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _metric_value(m: EpisodeMetrics, name: str) -> float:
     return {
         "return": m.return_total,

@@ -12,12 +12,14 @@ One call to :func:`step` advances the world by ``dt`` in fixed phases:
 HDV lane changes (sequential by id), CAV lane changes, HDV accelerations from
 post-lane-change leaders, a simultaneous forward-Euler speed/position update,
 ramp-exit resolution, then CAV collision resolution.  Inactive vehicles are
-frozen in place and ignored by every phase.
+frozen in place and ignored by every phase.  Every phase finds lane
+neighbours in :func:`lane_index`.
 """
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +116,6 @@ class WorldState:
     step_index: int
     vehicles: list[VehicleState]
     collision_count: int = 0
-    rng: np.random.Generator | None = field(default=None, compare=False, repr=False)
 
     def vehicle(self, vid: int) -> VehicleState:
         veh = self.vehicles[vid]
@@ -195,78 +196,81 @@ def reset(config: ScenarioConfig, seed: int) -> WorldState:
             kind = VehicleKind.HDV
         speed = config.cav_depart_speed if kind.is_cav else config.hdv_depart_speed
         vehicles.append(VehicleState(id=vid, kind=kind, lane=lane, x=float(x), v=speed))
-    return WorldState(step_index=0, vehicles=vehicles, collision_count=0, rng=rng)
+    return WorldState(step_index=0, vehicles=vehicles, collision_count=0)
 
 
-def _leader(world: WorldState, x: float, lane: int, exclude: int) -> VehicleState | None:
-    """Nearest active vehicle strictly ahead of ``x`` in ``lane``."""
-    best = None
-    for veh in world.vehicles:
-        if not veh.active or veh.lane != lane or veh.id == exclude:
-            continue
-        if veh.x > x and (best is None or veh.x < best.x):
-            best = veh
-    return best
+# Per lane, its active vehicles in (x, id) order; see lane_index.
+LaneIndex = list[list[VehicleState]]
 
 
-def _front_rear(
-    world: WorldState, x: float, lane: int, exclude: int
-) -> tuple[VehicleState | None, VehicleState | None]:
-    """Nearest active vehicles at-or-ahead / strictly behind ``x`` in ``lane``.
+def _lane_order(veh: VehicleState) -> tuple[float, int]:
+    return veh.x, veh.id
 
-    A vehicle exactly at ``x`` counts as front so that sliding next to it is
-    rejected by the front-gap check.
+
+def _x(veh: VehicleState) -> float:
+    return veh.x
+
+
+def lane_index(world: WorldState, n_lanes: int) -> LaneIndex:
+    """Active vehicles of each lane (lane ``k`` at index ``k - 1``) in x order,
+    lower id first on equal x.
+
+    This order alone decides lane neighbours: the first vehicle past a bisect
+    point, or the first of a tie group behind it, is the nearest one with the
+    lowest id.  A query at a vehicle's own x leaves it out by strictness.
     """
-    front = rear = None
+    lanes: LaneIndex = [[] for _ in range(n_lanes)]
     for veh in world.vehicles:
-        if not veh.active or veh.lane != lane or veh.id == exclude:
-            continue
-        if veh.x >= x:
-            if front is None or veh.x < front.x:
-                front = veh
-        elif rear is None or veh.x > rear.x:
-            rear = veh
-    return front, rear
+        if veh.active:
+            lanes[veh.lane - 1].append(veh)
+    for lane in lanes:
+        lane.sort(key=_x)  # stable, so equal x keeps id order
+    return lanes
 
 
-def _following_accel(world: WorldState, veh: VehicleState, lane: int, config: ScenarioConfig) -> float:
-    leader = _leader(world, veh.x, lane, exclude=veh.id)
-    if leader is None:
-        gap = math.inf
-        v_leader = 0.0
-    else:
-        gap = max(leader.x - veh.x - config.vehicle_length, MIN_INTERACTION_GAP)
-        v_leader = leader.v
-    return idm_acceleration(veh.v, gap, v_leader, config.idm)
+def _following_accel(veh: VehicleState, lane: list[VehicleState], config: ScenarioConfig) -> float:
+    """IDM acceleration of ``veh`` behind its leader (strictly ahead) in the
+    sorted ``lane``."""
+    ahead = bisect_right(lane, veh.x, key=_x)
+    if ahead == len(lane):
+        return idm_acceleration(veh.v, math.inf, 0.0, config.idm)
+    leader = lane[ahead]
+    gap = max(leader.x - veh.x - config.vehicle_length, MIN_INTERACTION_GAP)
+    return idm_acceleration(veh.v, gap, leader.v, config.idm)
 
 
-def hdv_lane_change(world: WorldState, vehicle_id: int, config: ScenarioConfig) -> int:
+def hdv_lane_change(world: WorldState, vehicle_id: int, lanes: LaneIndex, config: ScenarioConfig) -> int:
     """Lane an HDV picks for this step: its own, or an adjacent lane that is
     both safe and buys at least ``LANE_CHANGE_INCENTIVE`` of acceleration.
 
-    Safety in the candidate lane requires a net front gap of at least ``s0``
-    and a net rear gap of at least ``s0 + v_rear * T``.  When both neighbours
-    qualify the faster lane wins, ties going to the rightmost.
+    ``lanes`` is the world's :func:`lane_index`.  Safety in the candidate lane
+    requires a net front gap of at least ``s0`` to the nearest vehicle at or
+    ahead of x (so one exactly alongside blocks) and a net rear gap of at
+    least ``s0 + v_rear * T`` to the nearest one strictly behind.  When both
+    neighbours qualify the faster lane wins, ties going to the rightmost.
     """
     veh = world.vehicle(vehicle_id)
     assert veh.active and veh.kind is VehicleKind.HDV
-    current_accel = _following_accel(world, veh, veh.lane, config)
+    current_accel = _following_accel(veh, lanes[veh.lane - 1], config)
 
     best_lane = veh.lane
     best_accel = -math.inf
     for lane in (veh.lane - 1, veh.lane + 1):
         if not 1 <= lane <= config.n_lanes:
             continue
-        front, rear = _front_rear(world, veh.x, lane, exclude=veh.id)
-        if front is not None:
-            front_gap = front.x - veh.x - config.vehicle_length
+        others = lanes[lane - 1]
+        front = bisect_left(others, veh.x, key=_x)
+        if front < len(others):
+            front_gap = others[front].x - veh.x - config.vehicle_length
             if front_gap < config.idm.s0:
                 continue
-        if rear is not None:
+        if front > 0:
+            # the first of the nearest tie group behind, i.e. its lowest id
+            rear = others[bisect_left(others, others[front - 1].x, key=_x)]
             rear_gap = veh.x - rear.x - config.vehicle_length
             if rear_gap < config.idm.s0 + rear.v * config.idm.T_headway:
                 continue
-        accel = _following_accel(world, veh, lane, config)
+        accel = _following_accel(veh, others, config)
         if accel - current_accel < LANE_CHANGE_INCENTIVE:
             continue
         # rightmost wins on equal gain, hence >= while scanning left-to-right
@@ -274,6 +278,18 @@ def hdv_lane_change(world: WorldState, vehicle_id: int, config: ScenarioConfig) 
             best_accel = accel
             best_lane = lane
     return best_lane
+
+
+def change_hdv_lanes(world: WorldState, lanes: LaneIndex, config: ScenarioConfig) -> None:
+    """Apply :func:`hdv_lane_change` to every active HDV in id order, so each
+    one sees the moves of lower ids, keeping the index ``lanes`` current."""
+    for vid in world.active_hdv_ids():
+        veh = world.vehicle(vid)
+        lane = hdv_lane_change(world, vid, lanes, config)
+        if lane != veh.lane:
+            lanes[veh.lane - 1].remove(veh)
+            veh.lane = lane
+            insort(lanes[lane - 1], veh, key=_lane_order)
 
 
 def _clamped_lane(lane: int, lateral: Lateral, n_lanes: int) -> int:
@@ -310,16 +326,13 @@ def detect_collisions(world: WorldState, config: ScenarioConfig) -> list[tuple[i
     """Same-lane pairs of active vehicles closer than one vehicle length,
     at least one of them a CAV.  Pairs are (lower id, higher id), sorted."""
     pairs = []
-    vehicles = world.active_vehicles()
-    for a_idx in range(len(vehicles)):
-        for b_idx in range(a_idx + 1, len(vehicles)):
-            a, b = vehicles[a_idx], vehicles[b_idx]
-            if a.lane != b.lane:
-                continue
-            if not (a.kind.is_cav or b.kind.is_cav):
-                continue
-            if abs(a.x - b.x) < config.vehicle_length:
-                pairs.append((min(a.id, b.id), max(a.id, b.id)))
+    for lane in lane_index(world, config.n_lanes):
+        for i, a in enumerate(lane):
+            for b in lane[i + 1:]:
+                if b.x - a.x >= config.vehicle_length:
+                    break
+                if a.kind.is_cav or b.kind.is_cav:
+                    pairs.append((min(a.id, b.id), max(a.id, b.id)))
     return sorted(pairs)
 
 
@@ -353,8 +366,7 @@ def step(
 
     # 1. HDV lane changes, sequential in id order: each driver sees the moves
     # of lower-id drivers already applied.
-    for vid in world.active_hdv_ids():
-        world.vehicle(vid).lane = hdv_lane_change(world, vid, config)
+    change_hdv_lanes(world, lane_index(world, config.n_lanes), config)
 
     # 2. CAV lane changes.
     for vid in sorted(actions):
@@ -362,9 +374,9 @@ def step(
         veh.lane = _clamped_lane(veh.lane, actions[vid].lateral, config.n_lanes)
 
     # 3. HDV accelerations against post-lane-change leaders at current positions.
-    hdv_accel: dict[int, float] = {}
-    for vid in world.active_hdv_ids():
-        hdv_accel[vid] = _following_accel(world, world.vehicle(vid), world.vehicle(vid).lane, config)
+    lanes = lane_index(world, config.n_lanes)
+    hdv_accel = {veh.id: _following_accel(veh, lanes[veh.lane - 1], config)
+                 for veh in world.active_vehicles() if veh.kind is VehicleKind.HDV}
 
     # 4. Simultaneous speed/position update.
     for veh in world.active_vehicles():

@@ -12,9 +12,13 @@ import pytest
 from _helpers import scenario, small_experiment
 from ramplab.cli import TRACE_COLUMNS, main
 from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS
-from ramplab.runs import read_metrics_csv
 from ramplab.simulation import ActionCommand, reset, step
 from ramplab.trainer import METRICS_COLUMNS, Trainer
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(path, cfg=None):
@@ -51,7 +55,7 @@ def test_train_writes_the_advertised_artifacts(trained_run):
 
 
 def test_train_metrics_csv_matches_summary(trained_run):
-    rows = read_metrics_csv(trained_run["out"] / "seed_1" / "metrics.csv")
+    rows = read_csv(trained_run["out"] / "seed_1" / "metrics.csv")
     assert [r["episode"] for r in rows] == ["1", "2"]
     assert all(r["variant"] == "gitsr" for r in rows)
     summary = json.loads((trained_run["out"] / "summary.json").read_text())
@@ -117,7 +121,7 @@ def test_evaluate_writes_csv_and_aggregate(trained_run, tmp_path, capsys):
                  "--checkpoint", str(trained_run["checkpoint"]),
                  "--episodes", "3", "--seed", "0", "--out", str(out_csv)])
     assert code == 0
-    rows = read_metrics_csv(out_csv)
+    rows = read_csv(out_csv)
     assert len(rows) == 3
     assert all(r["epsilon"] == "0.0" for r in rows)
     aggregate = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -273,8 +277,7 @@ def test_trace_replays_bit_exactly(trained_run, tmp_path, capsys):
     with open(out_csv) as fh:
         header = fh.readline().strip().split(",")
     assert header == list(TRACE_COLUMNS)
-    with open(out_csv) as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_csv(out_csv)
 
     cfg = small_experiment()
     n = cfg.scenario.n_cav + cfg.scenario.n_hdv
@@ -313,8 +316,7 @@ def test_trace_step0_rows_have_no_action_or_reward(trained_run, tmp_path, capsys
           "--checkpoint", str(trained_run["checkpoint"]),
           "--seed", "3", "--out", str(out_csv)])
     capsys.readouterr()
-    with open(out_csv) as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_csv(out_csv)
     first = [r for r in rows if r["step"] == "0"]
     assert len(first) == 5
     assert all(r["action"] == "" and r["r_total"] == "" for r in first)
@@ -339,8 +341,7 @@ def test_ablate_covers_the_grid(tmp_path, capsys):
     cells = {f"{v}/{r}" for v in MODEL_VARIANTS for r in REPRESENTATIONS}
     assert set(summary["cells"]) == cells
     assert summary["failures"] == {}
-    with open(out / "combined.csv") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_csv(out / "combined.csv")
     assert len(rows) == 12            # one episode row plus one aggregate per cell
     assert {r["row_type"] for r in rows} == {"episode", "aggregate"}
     reps = [r["representation"] for r in rows if r["row_type"] == "episode"]

@@ -9,11 +9,17 @@ from ramplab.config import (
     IdmParams,
     NetworkConfig,
     ScenarioConfig,
-    experiment_from_dict,
     load_experiment_config,
     load_scenario_config,
-    save_config,
 )
+from ramplab.runs import write_json
+
+
+def load_experiment_dict(tmp_path, data):
+    """Load an experiment config the way the CLI does, from a written file."""
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(data))
+    return load_experiment_config(path)
 
 
 def test_scenario_defaults():
@@ -41,14 +47,14 @@ def test_training_defaults():
 def test_experiment_round_trip(tmp_path):
     cfg = ExperimentConfig(seeds=[7, 8])
     path = tmp_path / "exp.json"
-    save_config(cfg, path)
+    write_json(path, dataclasses.asdict(cfg))
     assert load_experiment_config(path) == cfg
 
 
 def test_scenario_round_trip(tmp_path):
     cfg = ScenarioConfig(n_cav=2, idm=IdmParams(a_max=2.5))
     path = tmp_path / "scenario.json"
-    save_config(cfg, path)
+    write_json(path, dataclasses.asdict(cfg))
     assert load_scenario_config(path) == cfg
 
 
@@ -59,22 +65,22 @@ def test_unknown_key_rejected(tmp_path):
         load_experiment_config(path)
 
 
-def test_nested_unknown_key_named_with_context():
+def test_nested_unknown_key_named_with_context(tmp_path):
     with pytest.raises(ConfigError, match="scenario.idm"):
-        experiment_from_dict({"scenario": {"idm": {"wrong": 1.0}}})
+        load_experiment_dict(tmp_path, {"scenario": {"idm": {"wrong": 1.0}}})
 
 
-def test_type_mismatches_rejected():
+def test_type_mismatches_rejected(tmp_path):
     with pytest.raises(ConfigError, match="n_cav"):
-        experiment_from_dict({"scenario": {"n_cav": "four"}})
+        load_experiment_dict(tmp_path, {"scenario": {"n_cav": "four"}})
     with pytest.raises(ConfigError, match="dt"):
-        experiment_from_dict({"scenario": {"dt": True}})
+        load_experiment_dict(tmp_path, {"scenario": {"dt": True}})
     with pytest.raises(ConfigError, match="seeds"):
-        experiment_from_dict({"seeds": [1, "two"]})
+        load_experiment_dict(tmp_path, {"seeds": [1, "two"]})
 
 
-def test_int_accepted_for_float_field():
-    cfg = experiment_from_dict({"scenario": {"v_max": 30, "cav_depart_speed": 10}})
+def test_int_accepted_for_float_field(tmp_path):
+    cfg = load_experiment_dict(tmp_path, {"scenario": {"v_max": 30, "cav_depart_speed": 10}})
     assert cfg.scenario.v_max == 30.0
     assert isinstance(cfg.scenario.v_max, float)
 

@@ -1,23 +1,32 @@
+import copy
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _helpers import random_rollout, scenario, vehicle, world_of
 from ramplab.config import ConfigError, ScenarioConfig
+from ramplab.idm import idm_acceleration
 from ramplab.simulation import (
     CAV_COMMAND_ACCEL,
     FILLER_ACTION_INDEX,
+    LANE_CHANGE_INCENTIVE,
+    MIN_INTERACTION_GAP,
     SPAWN_LENGTH,
     ActionCommand,
     Lateral,
     Longitudinal,
     Outcome,
     VehicleKind,
+    change_hdv_lanes,
     detect_collisions,
     episode_done,
     hdv_lane_change,
+    lane_index,
     reset,
     resolve_ramp_exit,
     spawn_capacity,
@@ -137,7 +146,7 @@ def test_lane_change_escapes_slow_leader_tie_goes_right():
         vehicle(0, lane=2, x=50.0, v=10.0),
         vehicle(1, lane=2, x=58.0, v=0.0),
     )
-    assert hdv_lane_change(world, 0, CFG) == 3
+    assert hdv_lane_change(world, 0, lane_index(world, CFG.n_lanes), CFG) == 3
 
 
 def test_lane_change_prefers_faster_side_over_rightmost():
@@ -147,7 +156,7 @@ def test_lane_change_prefers_faster_side_over_rightmost():
         vehicle(1, lane=2, x=58.0, v=0.0),
         vehicle(2, lane=3, x=62.0, v=2.0),
     )
-    assert hdv_lane_change(world, 0, CFG) == 1
+    assert hdv_lane_change(world, 0, lane_index(world, CFG.n_lanes), CFG) == 1
 
 
 def test_lane_change_rear_safety_veto():
@@ -156,7 +165,7 @@ def test_lane_change_rear_safety_veto():
         vehicle(1, lane=2, x=58.0, v=0.0),
         vehicle(2, lane=3, x=44.0, v=10.0),   # rear gap 1 m < s0 + v*T
     )
-    assert hdv_lane_change(world, 0, CFG) == 1
+    assert hdv_lane_change(world, 0, lane_index(world, CFG.n_lanes), CFG) == 1
 
 
 def test_lane_change_front_safety_veto():
@@ -166,13 +175,13 @@ def test_lane_change_front_safety_veto():
         vehicle(2, lane=3, x=56.0, v=25.0),   # front gap 1 m < s0
         vehicle(3, lane=1, x=56.0, v=25.0),
     )
-    assert hdv_lane_change(world, 0, CFG) == 2
+    assert hdv_lane_change(world, 0, lane_index(world, CFG.n_lanes), CFG) == 2
 
 
 def test_lane_change_needs_incentive():
     # free road everywhere: no gain, stay put
     world = world_of(vehicle(0, lane=2, x=50.0, v=10.0))
-    assert hdv_lane_change(world, 0, CFG) == 2
+    assert hdv_lane_change(world, 0, lane_index(world, CFG.n_lanes), CFG) == 2
 
 
 def test_lane_change_side_by_side_vehicle_blocks():
@@ -181,7 +190,7 @@ def test_lane_change_side_by_side_vehicle_blocks():
         vehicle(1, lane=2, x=58.0, v=0.0),
         vehicle(2, lane=3, x=50.0, v=10.0),   # exactly alongside
     )
-    assert hdv_lane_change(world, 0, CFG) == 1
+    assert hdv_lane_change(world, 0, lane_index(world, CFG.n_lanes), CFG) == 1
 
 
 # -- ramp exits -----------------------------------------------------------
@@ -264,6 +273,149 @@ def test_collision_count_monotone_over_rollouts():
     assert counts == sorted(counts)
 
 
+# -- lane index against per-query rescans --------------------------------
+
+
+def rescan_leader(world, x, lane, exclude):
+    """Nearest active vehicle strictly ahead of ``x`` in ``lane``."""
+    best = None
+    for veh in world.vehicles:
+        if not veh.active or veh.lane != lane or veh.id == exclude:
+            continue
+        if veh.x > x and (best is None or veh.x < best.x):
+            best = veh
+    return best
+
+
+def rescan_front_rear(world, x, lane, exclude):
+    """Nearest active vehicles at-or-ahead / strictly behind ``x`` in ``lane``."""
+    front = rear = None
+    for veh in world.vehicles:
+        if not veh.active or veh.lane != lane or veh.id == exclude:
+            continue
+        if veh.x >= x:
+            if front is None or veh.x < front.x:
+                front = veh
+        elif rear is None or veh.x > rear.x:
+            rear = veh
+    return front, rear
+
+
+def rescan_accel(world, veh, lane, config):
+    leader = rescan_leader(world, veh.x, lane, exclude=veh.id)
+    if leader is None:
+        return idm_acceleration(veh.v, math.inf, 0.0, config.idm)
+    gap = max(leader.x - veh.x - config.vehicle_length, MIN_INTERACTION_GAP)
+    return idm_acceleration(veh.v, gap, leader.v, config.idm)
+
+
+def rescan_lane_change(world, vid, config):
+    """The lane-change rule written against full rescans, the reference the
+    lane index must reproduce exactly."""
+    veh = world.vehicle(vid)
+    current_accel = rescan_accel(world, veh, veh.lane, config)
+    best_lane, best_accel = veh.lane, -math.inf
+    for lane in (veh.lane - 1, veh.lane + 1):
+        if not 1 <= lane <= config.n_lanes:
+            continue
+        front, rear = rescan_front_rear(world, veh.x, lane, exclude=veh.id)
+        if front is not None and front.x - veh.x - config.vehicle_length < config.idm.s0:
+            continue
+        if rear is not None and veh.x - rear.x - config.vehicle_length < \
+                config.idm.s0 + rear.v * config.idm.T_headway:
+            continue
+        accel = rescan_accel(world, veh, lane, config)
+        if accel - current_accel >= LANE_CHANGE_INCENTIVE and accel >= best_accel:
+            best_lane, best_accel = lane, accel
+    return best_lane
+
+
+def all_pairs_collisions(world, config):
+    pairs = []
+    vehicles = world.active_vehicles()
+    for i, a in enumerate(vehicles):
+        for b in vehicles[i + 1:]:
+            if a.lane == b.lane and (a.kind.is_cav or b.kind.is_cav) \
+                    and abs(a.x - b.x) < config.vehicle_length:
+                pairs.append((min(a.id, b.id), max(a.id, b.id)))
+    return sorted(pairs)
+
+
+def rescan_step_hdvs(world, actions, config):
+    """Lane and speed of every active HDV after one step, from the rescans:
+    sequential lane changes, CAV lane moves, then accelerations."""
+    for vid in world.active_hdv_ids():
+        world.vehicle(vid).lane = rescan_lane_change(world, vid, config)
+    for vid, command in actions.items():
+        veh = world.vehicle(vid)
+        veh.lane = min(max(veh.lane + int(command.lateral) - 1, 1), config.n_lanes)
+    out = {}
+    for vid in world.active_hdv_ids():
+        veh = world.vehicle(vid)
+        v = veh.v + rescan_accel(world, veh, veh.lane, config) * config.dt
+        out[vid] = (veh.lane, min(max(v, 0.0), config.v_max))
+    return out
+
+
+# positions a few metres apart and exact repeats, so that alongside vehicles,
+# blocked and open gaps and equal-x tie groups are all common
+NEAR_X = st.sampled_from([0.0, 40.0, 44.0, 50.0, 50.000000000000014, 53.0, 56.0, 58.0, 62.0, 400.0])
+WORLDS = st.lists(
+    st.tuples(
+        st.sampled_from(list(VehicleKind)),
+        st.integers(min_value=1, max_value=3),
+        NEAR_X | st.floats(min_value=0.0, max_value=400.0),
+        st.sampled_from([0.0, 10.0, 25.0]) | st.floats(min_value=0.0, max_value=25.0),
+        st.booleans(),
+        st.integers(min_value=0, max_value=8),
+    ),
+    min_size=1, max_size=12,
+)
+# the sequential lane-change scene: hdv 1 moves into lane 2, then blocks hdv 2
+SEQUENTIAL = [(VehicleKind.HDV, 1, 58.0, 0.0, True, 4), (VehicleKind.HDV, 1, 50.0, 10.0, True, 4),
+              (VehicleKind.HDV, 3, 50.0, 10.0, True, 4), (VehicleKind.HDV, 3, 58.0, 0.0, True, 4)]
+
+
+def generated_world(specs):
+    world = world_of(*(
+        vehicle(vid, kind=kind, lane=lane, x=x, v=v, active=active)
+        for vid, (kind, lane, x, v, active, _) in enumerate(specs)
+    ))
+    actions = {vid: ActionCommand.from_index(specs[vid][-1]) for vid in world.active_cav_ids()}
+    return world, actions
+
+
+@settings(max_examples=400, deadline=None)
+@given(WORLDS)
+@example(SEQUENTIAL)
+# tie groups behind hdv 0 on both sides: only the lowest id of each is its rear
+@example([(VehicleKind.HDV, 2, 50.0, 10.0, True, 4), (VehicleKind.HDV, 2, 58.0, 0.0, True, 4),
+          (VehicleKind.HDV, 3, 40.0, 0.0, True, 4), (VehicleKind.CAV_RAMP2, 3, 40.0, 10.0, True, 4),
+          (VehicleKind.HDV, 1, 40.0, 25.0, True, 4), (VehicleKind.HDV, 1, 40.0, 0.0, True, 4)])
+def test_lane_index_matches_rescan_oracle(specs):
+    world, actions = generated_world(specs)
+    lanes = lane_index(world, CFG.n_lanes)
+    for veh in world.active_vehicles():
+        if veh.kind is VehicleKind.HDV:
+            assert hdv_lane_change(world, veh.id, lanes, CFG) == rescan_lane_change(world, veh.id, CFG)
+    assert detect_collisions(world, CFG) == all_pairs_collisions(world, CFG)
+    want = rescan_step_hdvs(copy.deepcopy(world), actions, CFG)
+    step(world, actions, CFG)
+    assert {vid: (world.vehicle(vid).lane, world.vehicle(vid).v) for vid in want} == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(WORLDS)
+@example(SEQUENTIAL)
+def test_lane_index_stays_current_through_lane_changes(specs):
+    world, _ = generated_world(specs)
+    lanes = lane_index(world, CFG.n_lanes)
+    change_hdv_lanes(world, lanes, CFG)
+    assert lanes == lane_index(world, CFG.n_lanes)
+    for lane_no, lane in enumerate(lanes, start=1):
+        assert all(veh.active and veh.lane == lane_no for veh in lane)
+
+
 # -- step mechanics -------------------------------------------------------
 
 
@@ -337,6 +489,31 @@ def test_step_determinism():
         step(a, act_a, CFG)
         step(b, act_b, CFG)
     assert same_worlds(a, b)
+
+
+def simulator_digest(config, seeds):
+    """sha256 over every vehicle's state after every step of one random-action
+    episode per seed, plus each step's collisions and exits."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        world = reset(config, seed)
+        rng = np.random.default_rng(seed)
+        while not episode_done(world, config):
+            actions = {vid: ActionCommand.from_index(int(rng.integers(9)))
+                       for vid in world.active_cav_ids()}
+            events = step(world, actions, config)
+            digest.update(repr([(v.id, v.lane, v.x, v.v, v.active, v.outcome.value)
+                                for v in world.vehicles]).encode())
+            digest.update(repr((events.collisions,
+                                [(vid, o.value) for vid, o in events.exits])).encode())
+    return digest.hexdigest()
+
+
+def test_simulator_golden_digest():
+    # Pinned from the per-query-rescan simulator: a refactor of the simulator
+    # must reproduce its trajectories byte for byte.
+    assert simulator_digest(CFG, range(200)) == \
+        "d2e0d0b7d311019e1bed82174c282f6562f7381c6c6c57373059c3beb05c8cb1"
 
 
 # -- episode termination --------------------------------------------------
