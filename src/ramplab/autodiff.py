@@ -140,24 +140,30 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
+    # maximum, not a select on a > 0: the mask is true for a random half of
+    # the entries, and a select through it costs several times as much.  The
+    # weak scalar keeps float32, -0.0 maps to +0.0 and NaN propagates.
+    y = np.maximum(a.data, 0)
 
     def vjp(g):
-        return (g * keep,)
+        return (g * (y > 0),)   # y > 0 exactly where a > 0, NaN included
 
-    return _node(np.where(keep, a.data, 0.0), "relu", (a,), vjp)
+    return _node(y, "relu", (a,), vjp)
 
 
 def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardisation followed by an affine map with (1, k) params."""
-    mu = a.data.mean(axis=1, keepdims=True)
+    # sum / k is what ndarray.mean computes, without its Python wrapper
+    k = a.data.shape[1]
+    mu = a.data.sum(axis=1, keepdims=True) / k
     centred = a.data - mu
-    std = np.sqrt((centred * centred).mean(axis=1, keepdims=True) + eps)
+    std = np.sqrt((centred * centred).sum(axis=1, keepdims=True) / k + eps)
     y = centred / std
 
     def vjp(g):
         dy = g * gain.data
-        dx = (dy - dy.mean(axis=1, keepdims=True) - y * (dy * y).mean(axis=1, keepdims=True)) / std
+        dx = (dy - dy.sum(axis=1, keepdims=True) / k
+              - y * ((dy * y).sum(axis=1, keepdims=True) / k)) / std
         return dx, (g * y).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
     return _node(y * gain.data + bias.data, "layer_norm", (a, gain, bias), vjp)
@@ -207,13 +213,28 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     return _node(np.hstack([t.data for t in tensors]), "concat", tuple(tensors), vjp)
 
 
+def _scatter(like: np.ndarray, index: tuple, g: np.ndarray) -> np.ndarray:
+    """Zeros like ``like`` with the rows of ``g`` added at ``index``.
+
+    Distinct positions take a plain assignment, far cheaper than
+    ``np.add.at``; ``+ 0`` turns -0.0 into +0.0, as adding onto a zero
+    does.  Distinctness is counted on a boolean mark, which is cheaper than
+    a sort."""
+    out = np.zeros_like(like)
+    seen = np.zeros(like.shape[:len(index)], dtype=bool)
+    seen[index] = True
+    if np.count_nonzero(seen) == len(g):
+        out[index] = g + 0
+    else:
+        np.add.at(out, index, g)
+    return out
+
+
 def select_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     indices = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, indices, g)
-        return (da,)
+        return (_scatter(a.data, (indices,), g),)
 
     return _node(a.data[indices].copy(), "select_rows", (a,), vjp)
 
@@ -224,9 +245,7 @@ def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     cols = np.asarray(cols, dtype=np.intp)
 
     def vjp(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, (rows, cols), g[:, 0])
-        return (da,)
+        return (_scatter(a.data, (rows, cols), g[:, 0]),)
 
     return _node(a.data[rows, cols][:, None].copy(), "gather", (a,), vjp)
 

@@ -16,16 +16,18 @@ EPS = 1e-8
 
 def clip_global_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
-    Returns the pre-clip norm."""
+    Returns the pre-clip norm; a non-finite norm leaves the gradients as
+    they are.  For float32 gradients the norm is finite exactly when every
+    gradient entry is, so it doubles as the finite-gradient check."""
     total = 0.0
     for _, tensor in store.items():
         if tensor.grad is not None:
             # float64 accumulation without a float64 copy: float32 squares
-            # overflow for entries above ~1.8e19
+            # overflow for entries above ~1.8e19, their float64 sum never does
             g = tensor.grad.reshape(-1)
             total += float(np.einsum("i,i->", g, g, dtype=np.float64))
     norm = math.sqrt(total)
-    if norm > max_norm:
+    if math.isfinite(norm) and norm > max_norm:
         factor = max_norm / norm
         for _, tensor in store.items():
             if tensor.grad is not None:

@@ -1,15 +1,18 @@
 """Run-directory bookkeeping: metrics CSVs, aggregate summaries, provenance.
 
-A training run directory holds a copy of its config, a provenance record
-(package content hash + seeds) sufficient to reproduce the run bit-for-bit,
-one metrics CSV per seed, and checkpoints.  Floats in CSVs are written with
-``repr`` so parsing them back is exact.
+A training run directory holds a copy of its config, a provenance record,
+one metrics CSV per seed, and checkpoints.  The provenance record names what
+a bit-for-bit rerun must match: the package content hash, seeds, Python and
+numpy, and the BLAS library with its thread-count variables, since BLAS
+builds and thread counts may sum matrix products in different orders.
+Floats in CSVs are written with ``repr`` so parsing them back is exact.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import os
 import platform
 from pathlib import Path
 
@@ -19,6 +22,7 @@ import ramplab
 from ramplab.trainer import METRICS_COLUMNS, EpisodeMetrics, metrics_csv_row
 
 SUMMARY_METRICS = ("return", "success_rate", "collisions", "mean_speed")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def package_content_hash() -> str:
@@ -96,12 +100,15 @@ def summarize_final_window(
 
 
 def write_run_info(directory: str | Path, cfg_dict: dict, seeds: list[int]) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     info = {
         "package": "ramplab",
         "version": ramplab.__version__,
         "package_sha256": package_content_hash(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "blas_threads_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "seeds": seeds,
         "config": cfg_dict,
     }

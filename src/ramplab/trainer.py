@@ -110,8 +110,10 @@ def train_on_batch(
     if not math.isfinite(loss.item()):
         raise TrainingError("non-finite TD loss")
     backward(loss)
-    net.store.check_finite_grads()
-    clip_global_grad_norm(net.store, MAX_GRAD_NORM)
+    norm = clip_global_grad_norm(net.store, MAX_GRAD_NORM)
+    if not math.isfinite(norm):
+        net.store.check_finite_grads()   # names the offending parameter
+        raise TrainingError(f"gradient norm {norm} overflows")
     optimizer.step()
     return loss.item()
 

@@ -117,6 +117,17 @@ def test_relu_grads_away_from_kink():
     check_op(lambda: ad.sum_all(ad.mul(ad.relu(x), ad.relu(x))), x)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_maps_negative_zero_to_zero_and_propagates_nan(dtype):
+    x = ad.Tensor(np.array([[-0.0, np.nan, 2.0, -1.0]], dtype=dtype), requires_grad=True)
+    y = ad.relu(x)
+    assert y.data.dtype == dtype
+    assert y.data[0, 0] == 0.0 and not np.signbit(y.data[0, 0])
+    assert np.isnan(y.data[0, 1])
+    ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(np.ones((1, 4), dtype=dtype)))))
+    assert x.grad.tolist() == [[0.0, 0.0, 1.0, 0.0]]
+
+
 def test_layer_norm_rows_grads():
     x, gain, bias = leaf((3, 6)), leaf((1, 6)), leaf((1, 6))
     out = ad.layer_norm_rows(x, gain, bias)
@@ -171,6 +182,31 @@ def test_gather_accumulates_repeated_cells():
     a2 = leaf((2, 2))
     ad.backward(ad.sum_all(ad.gather(a2, np.array([0, 0]), np.array([1, 1]))))
     np.testing.assert_allclose(a2.grad, [[0, 2], [0, 0]])
+
+
+def test_distinct_index_scatters_match_add_at_bytes():
+    # distinct indices are scattered by assignment; a -0.0 upstream gradient
+    # must still land as the +0.0 that adding onto zero gives
+    a = leaf((6, 3))
+    idx = np.array([4, 0, 5, 2])
+    w = RNG.normal(size=(4, 3))
+    w[1, 2] = -0.0
+    ad.backward(ad.sum_all(ad.mul(ad.select_rows(a, idx), ad.Tensor(w))))
+    want = np.zeros_like(a.data)
+    np.add.at(want, idx, w)
+    assert a.grad.tobytes() == want.tobytes()
+    b = leaf((4, 5))
+    rows, cols = np.array([3, 0, 1, 0]), np.array([2, 2, 0, 4])
+    c = RNG.normal(size=(4, 1))
+    c[2, 0] = -0.0
+    ad.backward(ad.sum_all(ad.mul(ad.gather(b, rows, cols), ad.Tensor(c))))
+    want = np.zeros_like(b.data)
+    np.add.at(want, (rows, cols), c[:, 0])
+    assert b.grad.tobytes() == want.tobytes()
+    # a negative index naming the same cell as a positive one still adds up
+    b2 = leaf((2, 5))
+    ad.backward(ad.sum_all(ad.gather(b2, np.array([1, 1]), np.array([-1, 4]))))
+    np.testing.assert_array_equal(b2.grad, [[0, 0, 0, 0, 0], [0, 0, 0, 0, 2]])
 
 
 def test_mean_all_and_sum_all():

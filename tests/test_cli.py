@@ -12,6 +12,7 @@ import pytest
 from _helpers import scenario, small_experiment
 from ramplab.cli import TRACE_COLUMNS, main
 from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS
+from ramplab.runs import write_run_info
 from ramplab.simulation import ActionCommand, reset, step
 from ramplab.trainer import METRICS_COLUMNS, Trainer
 
@@ -52,6 +53,19 @@ def test_train_writes_the_advertised_artifacts(trained_run):
     info = json.loads((out / "run_info.json").read_text())
     assert info["seeds"] == [1]
     assert len(info["package_sha256"]) == 64
+
+
+def test_run_info_records_blas_and_its_thread_variables(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    write_run_info(tmp_path, {}, [1])
+    info = json.loads((tmp_path / "run_info.json").read_text())
+    assert set(info["blas"]) == {"name", "version"}
+    assert isinstance(info["blas"]["name"], str)
+    assert info["blas_threads_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert info["blas_threads_env"]["MKL_NUM_THREADS"] is None
+    assert set(info["blas_threads_env"]) == {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
 def test_train_metrics_csv_matches_summary(trained_run):

@@ -296,6 +296,17 @@ def test_clone_copies_parameters():
     assert not np.array_equal(net.q_values(snap), twin.q_values(snap))
 
 
+def test_nan_weight_reaches_the_q_check():
+    # a NaN pre-activation propagates through ReLU instead of becoming 0
+    cfg = small_experiment(model_variant="gitsr")
+    net = build_network(cfg, seed=2)
+    snap = make_snap(1, cfg.scenario)
+    assert np.isfinite(net.q_values(snap)).all()
+    net.store.params["qhead.w1"].data[0, 0] = np.nan
+    with pytest.raises(TrainingError, match="non-finite Q values"):
+        net.q_values(snap)
+
+
 def test_check_finite_grads_names_offender():
     net = build_network(small_experiment(), seed=5)
     for name, p in net.store.items():

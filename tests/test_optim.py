@@ -126,6 +126,19 @@ def test_clip_norm_of_huge_gradients_is_finite_and_exact():
     assert store.params["b"].grad[0, 0] == pytest.approx(0.8, rel=1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_returns_non_finite_norm_and_leaves_gradients_unscaled(bad):
+    store = ParamStore(dtype=np.float32)
+    store.add("a", np.zeros((1, 2)))
+    store.add("b", np.zeros((1, 1)))
+    store.params["a"].grad = np.array([[bad, 30.0]], dtype=np.float32)
+    store.params["b"].grad = np.array([[40.0]], dtype=np.float32)
+    norm = clip_global_grad_norm(store, max_norm=1.0)
+    assert not np.isfinite(norm)
+    np.testing.assert_array_equal(store.params["a"].grad, [[bad, 30.0]])
+    np.testing.assert_array_equal(store.params["b"].grad, [[40.0]])
+
+
 def unit_normal_grads(store, rng):
     for _, tensor in store.items():
         tensor.grad = rng.standard_normal(tensor.data.shape).astype(store.dtype)

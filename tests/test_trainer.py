@@ -208,6 +208,32 @@ def test_train_on_batch_rejects_batch_without_active_cavs():
         train_on_batch(batch, net, net.clone(), Adam(net.store, 1e-4), gamma=0.9)
 
 
+@pytest.mark.parametrize("dtype, bad, message", [
+    (np.float32, np.nan, "non-finite gradient in parameter 'gcn.l0.w'"),
+    (np.float64, 1e200, "overflows"),   # finite, but its square is not
+])
+def test_train_on_batch_rejects_non_finite_gradient_before_adam(monkeypatch, dtype, bad,
+                                                                message):
+    cfg = small_experiment(model_variant="gitsr")
+    net = build_network(cfg, seed=3, dtype=dtype)
+    opt = Adam(net.store, 1e-3)
+    batch = frozen_batch(rollout_snaps(cfg, 2), [[0, 4], [1, 7]], [1.0, 2.0])
+    train_on_batch(batch, net, net.clone(), opt, gamma=0.9)
+    before = {name: p.data.tobytes() for name, p in net.store.items()}
+    moments = {name: opt.m[name].tobytes() + opt.v[name].tobytes() for name in opt.m}
+
+    def poisoned_backward(loss):
+        ad.backward(loss)
+        net.store.params["gcn.l0.w"].grad[0, 0] = bad
+
+    monkeypatch.setattr(trainer_module, "backward", poisoned_backward)
+    with pytest.raises(TrainingError, match=message):
+        train_on_batch(batch, net, net.clone(), opt, gamma=0.9)
+    assert opt.t == 1
+    assert {name: p.data.tobytes() for name, p in net.store.items()} == before
+    assert {name: opt.m[name].tobytes() + opt.v[name].tobytes() for name in opt.m} == moments
+
+
 # Reference: the per-(transition, CAV) loops the vectorised code replaced.
 def loop_td_targets(batch, target_net, gamma):
     with no_grad():
