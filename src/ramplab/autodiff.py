@@ -6,7 +6,8 @@ and accumulates gradients into ``.grad`` slots.  Only what the encoders and
 the Q head need is implemented, and every tensor stays dense 2-D, which
 keeps each rule a few lines of numpy.  A batch of B scenes is B equal row
 blocks stacked scene-major; :func:`scene_attention` and :func:`scene_matmul`
-view those blocks as a leading batch axis internally, so scenes never mix.
+view those blocks as a leading batch axis internally, so scenes never mix;
+:func:`scene_matmul`'s mixer may return fewer rows per scene than it reads.
 
 Gradient recording can be suspended with ``with no_grad(): ...`` for target
 computations and finite-difference probes.
@@ -83,13 +84,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scene_matmul(e: np.ndarray, a: Tensor) -> Tensor:
-    """Per-scene product of a constant (B, n, n) stack with ``a``'s (B*n, k)
-    rows, scene-major: scene b's rows are ``e[b] @ a[b*n:(b+1)*n]``."""
-    n_scenes, n, _ = e.shape
+    """Per-scene product of a constant (B, r, n) stack with ``a``'s (B*n, k)
+    rows, scene-major: scene b's r output rows are ``e[b] @ a[b*n:(b+1)*n]``."""
+    n_scenes, r, n = e.shape
     k = a.data.shape[1]
 
     def vjp(g):
-        return ((e.transpose(0, 2, 1) @ g.reshape(n_scenes, n, k)).reshape(-1, k),)
+        return ((e.transpose(0, 2, 1) @ g.reshape(n_scenes, r, k)).reshape(-1, k),)
 
     return _node((e @ a.data.reshape(n_scenes, n, k)).reshape(-1, k), "scene_matmul", (a,), vjp)
 

@@ -13,7 +13,11 @@ Forwards take a :class:`~ramplab.representation.StateBatch` and run it as
 one graph.  Grid rows from all scenes form one scene-major token matrix for
 the dense layers; attention (``scene_attention``) and graph mixing
 (``scene_matmul`` with the (B, n, n) normalised adjacency) run per scene on
-a batch axis, so cross-scene mixing is structurally impossible.
+a batch axis, so cross-scene mixing is structurally impossible.  A forward
+may be asked for a subset of the CAV rows: every CAV still attends and is
+attended to in every block, but the layers that act row by row after the
+last attention (and the graph encoder's last projection) run only on the
+rows asked for.
 
 Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
 plus a little-endian float32 blob and round-trip bit-exactly.
@@ -150,13 +154,16 @@ def multi_head_attention(
     wo: Tensor,
     n_heads: int,
     n_scenes: int = 1,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
     """Scaled dot-product attention with heads as column blocks of one
     projection, mixed by ``wo``; ``x`` holds ``n_scenes`` equal row blocks
-    that attend only within themselves."""
-    return matmul(
-        scene_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), n_scenes, n_heads), wo
-    )
+    that attend only within themselves.  Every row attends; with ``rows``,
+    only those output rows are mixed by ``wo`` and returned."""
+    attended = scene_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), n_scenes, n_heads)
+    if rows is not None:
+        attended = select_rows(attended, rows)
+    return matmul(attended, wo)
 
 
 def transformer_encode(
@@ -164,13 +171,18 @@ def transformer_encode(
     params: TransformerParams,
     n_heads: int,
     n_scenes: int = 1,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
     """Embed grid rows and run the blocks: attention, a single residual, then
-    a layer-normalised MLP; the last block's output is the encoding."""
+    a layer-normalised MLP; the last block's output is the encoding, of
+    every row or of ``rows`` only, which every row still attends to."""
     x = linear(sr, params.embed_w, params.embed_b)
+    last = params.blocks[-1]
     for blk in params.blocks:
-        attended = multi_head_attention(x, blk.wq, blk.wk, blk.wv, blk.wo, n_heads, n_scenes)
-        h = add(attended, x)
+        keep = rows if blk is last else None
+        attended = multi_head_attention(x, blk.wq, blk.wk, blk.wv, blk.wo, n_heads, n_scenes,
+                                        keep)
+        h = add(attended, x if keep is None else select_rows(x, keep))
         m = linear(relu(linear(h, blk.mlp_w1, blk.mlp_b1)), blk.mlp_w2, blk.mlp_b2)
         x = layer_norm_rows(m, blk.ln_g, blk.ln_b)
     return x
@@ -185,34 +197,45 @@ def gcn_normalize(adjacency: np.ndarray) -> np.ndarray:
     return a_tilde * d_inv_sqrt[..., :, None] * d_inv_sqrt[..., None, :]
 
 
-def gcn_forward(features: Tensor, e_norm: np.ndarray, weights: list[Tensor]) -> Tensor:
+def gcn_forward(
+    features: Tensor,
+    e_norm: np.ndarray,
+    weights: list[Tensor],
+    cav_ids: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+) -> Tensor:
     """Stacked graph convolutions, ReLU after every layer including the last.
 
     ``e_norm`` is one (n, n) scene or a (B, n, n) stack whose scenes own
-    consecutive n-row blocks of ``features``."""
+    consecutive n-row blocks of ``features``.  Every node's row is returned,
+    or, given ``cav_ids`` ((B, m) node of each CAV), one row per CAV,
+    scene-major, or only the ``rows`` among those.  The readout mixes before
+    it projects, ``relu((E[cav] H) W)``, so only the returned rows are
+    projected."""
     n = e_norm.shape[-1]
     mixer = e_norm.reshape(-1, n, n)
     h = features
-    for w in weights:
+    for w in weights[:-1]:
         h = relu(scene_matmul(mixer, matmul(h, w)))
-    return h
+    if cav_ids is None:
+        return relu(scene_matmul(mixer, matmul(h, weights[-1])))
+    mixed = scene_matmul(mixer[np.arange(len(mixer))[:, None], cav_ids], h)
+    if rows is not None:
+        mixed = select_rows(mixed, rows)
+    return relu(matmul(mixed, weights[-1]))
 
 
 def q_head(
     x_l: Tensor,
     h_graph: Tensor | None,
-    cav_rows: np.ndarray | None,
     w1: Tensor,
     b1: Tensor,
     w2: Tensor,
     b2: Tensor,
 ) -> Tensor:
     """Per-CAV action values from the scene encoding, optionally joined with
-    that CAV's row of the graph encoding."""
-    if h_graph is not None:
-        fused = concat_cols([x_l, select_rows(h_graph, cav_rows)])
-    else:
-        fused = x_l
+    the graph encoding's row for the same CAV."""
+    fused = x_l if h_graph is None else concat_cols([x_l, h_graph])
     return linear(relu(linear(fused, w1, b1)), w2, b2)
 
 
@@ -249,8 +272,10 @@ class QNetwork:
 
     # -- forward ---------------------------------------------------------
 
-    def forward_batch(self, states: StateBatch) -> Tensor:  # pragma: no cover
-        """Q rows for every CAV of every stacked state, scene-major."""
+    def forward_batch(self, states: StateBatch,
+                      rows: np.ndarray | None = None) -> Tensor:  # pragma: no cover
+        """Q rows for every CAV of every stacked state, scene-major, or only
+        for the scene-major CAV row indices ``rows``, in their order."""
         raise NotImplementedError
 
     def forward(self, snap: StateSnapshot) -> Tensor:
@@ -330,15 +355,14 @@ class GitsrNetwork(QNetwork):
         ]
         self._init_qhead(rng, 2 * cfg.d_model)
 
-    def forward_batch(self, states: StateBatch) -> Tensor:
+    def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
         dtype = self.store.dtype
-        n_scenes, n, _ = states.features.shape
         x = transformer_encode(flat_rows(grid_rows(states), dtype), self.transformer,
-                               self.net_cfg.n_heads, n_scenes)
+                               self.net_cfg.n_heads, len(states.sr), rows)
         e_norm = gcn_normalize(states.adjacency.astype(dtype))
-        h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights)
-        cav_rows = (np.arange(n_scenes)[:, None] * n + states.cav_ids).reshape(-1)
-        return q_head(x, h, cav_rows, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
+        h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights,
+                        states.cav_ids, rows)
+        return q_head(x, h, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
 class TransformerOnlyNetwork(QNetwork):
@@ -348,10 +372,10 @@ class TransformerOnlyNetwork(QNetwork):
         self._init_transformer(rng)
         self._init_qhead(rng, self.net_cfg.d_model)
 
-    def forward_batch(self, states: StateBatch) -> Tensor:
+    def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
         x = transformer_encode(flat_rows(grid_rows(states), self.store.dtype), self.transformer,
-                               self.net_cfg.n_heads, len(states.sr))
-        return q_head(x, None, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
+                               self.net_cfg.n_heads, len(states.sr), rows)
+        return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
 class BaselineNetwork(QNetwork):
@@ -363,10 +387,14 @@ class BaselineNetwork(QNetwork):
     def _build(self, rng: np.random.Generator) -> None:
         self._init_qhead(rng, self.feat_width + self.input_width)
 
-    def forward_batch(self, states: StateBatch) -> Tensor:
-        own = np.take_along_axis(states.features, states.cav_ids[:, :, None], axis=1)
-        rows = flat_rows(np.concatenate([own, grid_rows(states)], axis=2), self.store.dtype)
-        return q_head(rows, None, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
+    def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
+        if rows is None:
+            rows = np.arange(states.alive.size)
+        scene, cav = np.divmod(rows, states.alive.shape[1])
+        own = states.features[scene, states.cav_ids[scene, cav]]
+        x = np.concatenate([own, grid_rows(states, rows)], axis=1)
+        return q_head(Tensor(x.astype(self.store.dtype, copy=False)), None,
+                      self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
 _VARIANTS = {

@@ -214,11 +214,17 @@ def stack_states(snaps: list[StateSnapshot]) -> StateBatch:
     return StateBatch(**{f.name: stacked(f.name) for f in fields(StateBatch)})
 
 
-def grid_rows(states: StateBatch) -> np.ndarray:
+def grid_rows(states: StateBatch, rows: np.ndarray | None = None) -> np.ndarray:
     """(B, m, w) grid rows, one per CAV: its own agent-centric row or the
     shared scene grid, +0.0 for CAVs inactive in that state.  A product with
-    ``alive`` would give -0.0 in the negated CAV cells of a scene grid."""
-    return np.where(states.alive[:, :, None], states.sr, np.float32(0.0))
+    ``alive`` would give -0.0 in the negated CAV cells of a scene grid.
+    With ``rows`` (scene-major CAV row indices), only those, as (r, w)."""
+    if rows is None:
+        return np.where(states.alive[:, :, None], states.sr, np.float32(0.0))
+    scene, cav = np.divmod(rows, states.alive.shape[1])
+    out = states.sr[scene, 0] if states.sr.shape[1] == 1 else states.sr[scene, cav]
+    out[~states.alive[scene, cav]] = 0.0   # a fresh copy: fancy indexing
+    return out
 
 
 def snapshot_shapes(

@@ -3,13 +3,15 @@
 A training run directory holds a copy of its config, a provenance record,
 one metrics CSV per seed, and checkpoints.  The provenance record names what
 a bit-for-bit rerun must match: the package content hash, seeds, Python and
-numpy, and the BLAS library with its thread-count variables, since BLAS
-builds and thread counts may sum matrix products in different orders.
+numpy, and the BLAS library with its thread-count variables and the thread
+count it actually runs with, since BLAS builds and thread counts may sum
+matrix products in different orders.
 Floats in CSVs are written with ``repr`` so parsing them back is exact.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -23,6 +25,11 @@ from ramplab.trainer import METRICS_COLUMNS, EpisodeMetrics, metrics_csv_row
 
 SUMMARY_METRICS = ("return", "success_rate", "collisions", "mean_speed")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Thread-count getters of OpenBLAS builds: plain, 64-bit interface, and the
+# prefixed builds that numpy wheels bundle.
+OPENBLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                           "scipy_openblas_get_num_threads64_",
+                           "scipy_openblas_get_num_threads")
 
 
 def package_content_hash() -> str:
@@ -99,6 +106,28 @@ def summarize_final_window(
     return summary
 
 
+def blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS runs with, asked from the library itself
+    (unset thread variables leave it at one per core); None when no OpenBLAS
+    with a known getter is mapped into this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in OPENBLAS_THREAD_GETTERS:
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                return int(getter())
+    return None
+
+
 def write_run_info(directory: str | Path, cfg_dict: dict, seeds: list[int]) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     info = {
@@ -108,6 +137,7 @@ def write_run_info(directory: str | Path, cfg_dict: dict, seeds: list[int]) -> N
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version")},
+        "blas_threads": blas_threads(),
         "blas_threads_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "seeds": seeds,
         "config": cfg_dict,

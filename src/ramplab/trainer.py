@@ -76,14 +76,16 @@ def select_actions(
 def td_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     """One float64 target per (transition, CAV): r plus the discounted max of
     the target network's next-state row, unless the transition ended the
-    episode or the CAV was inactive at either end."""
-    with no_grad():
-        q_next = target_net.forward_batch(batch.s_next).data
-    n_scenes, n_cavs = batch.actions.shape
-    best = q_next.max(axis=1).reshape(n_scenes, n_cavs).astype(np.float64)
+    episode or the CAV was inactive at either end.  The target network runs
+    only on the rows that bootstrap, and not at all if none does."""
     bootstrap = batch.s.alive & ~batch.done[:, None] & batch.s_next.alive
-    reward = batch.reward[:, None]
-    return np.where(bootstrap, reward + gamma * best, reward)
+    y = np.repeat(batch.reward.astype(np.float64)[:, None], bootstrap.shape[1], axis=1)
+    rows = np.flatnonzero(bootstrap)
+    if rows.size:
+        with no_grad():
+            q_next = target_net.forward_batch(batch.s_next, rows).data
+        y.reshape(-1)[rows] += gamma * q_next.max(axis=1).astype(np.float64)
+    return y
 
 
 def update_target(online: QNetwork, target: QNetwork) -> None:
@@ -97,15 +99,16 @@ def train_on_batch(
     optimizer: Adam,
     gamma: float,
 ) -> float:
-    """One gradient step of MSE TD loss over the batch's active CAVs."""
-    scene, cav = np.nonzero(batch.s.alive)   # b-major, as the Q rows are
-    if scene.size == 0:
+    """One gradient step of MSE TD loss over the batch's active CAVs; the
+    online network computes Q rows for those CAVs only."""
+    rows = np.flatnonzero(batch.s.alive)   # scene-major, as the Q rows are
+    if rows.size == 0:
         raise TrainingError("batch contains no active CAVs")
     y = td_targets(batch, target_net, gamma)
     net.store.zero_grads()
-    q_all = net.forward_batch(batch.s)
-    pred = gather(q_all, scene * batch.actions.shape[1] + cav, batch.actions[scene, cav])
-    diff = sub(pred, Tensor(y[scene, cav].astype(net.store.dtype)[:, None]))
+    q = net.forward_batch(batch.s, rows)
+    pred = gather(q, np.arange(rows.size), batch.actions.reshape(-1)[rows])
+    diff = sub(pred, Tensor(y.reshape(-1)[rows].astype(net.store.dtype)[:, None]))
     loss = mean_all(mul(diff, diff))
     if not math.isfinite(loss.item()):
         raise TrainingError("non-finite TD loss")

@@ -56,6 +56,15 @@ def test_scene_matmul_grads_and_layout():
     check_op(lambda: ad.sum_all(ad.mul(ad.scene_matmul(e, a), w)), a)
 
 
+def test_scene_matmul_with_fewer_output_rows_than_nodes():
+    e = RNG.normal(size=(2, 1, 3))   # one output row per scene from three
+    a = leaf((6, 4))
+    out = ad.scene_matmul(e, a)
+    np.testing.assert_allclose(out.data, np.vstack([e[0] @ a.data[:3], e[1] @ a.data[3:]]))
+    w = ad.Tensor(RNG.normal(size=(2, 4)))
+    check_op(lambda: ad.sum_all(ad.mul(ad.scene_matmul(e, a), w)), a)
+
+
 def naive_scene_attention(q, k, v, n_scenes, n_heads):
     """Per scene, per head: softmax(q k^T / sqrt(d/h)) v, column blocks joined."""
     m, dh = q.shape[0] // n_scenes, q.shape[1] // n_heads

@@ -12,7 +12,7 @@ import pytest
 from _helpers import scenario, small_experiment
 from ramplab.cli import TRACE_COLUMNS, main
 from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS
-from ramplab.runs import write_run_info
+from ramplab.runs import blas_threads, write_run_info
 from ramplab.simulation import ActionCommand, reset, step
 from ramplab.trainer import METRICS_COLUMNS, Trainer
 
@@ -66,6 +66,13 @@ def test_run_info_records_blas_and_its_thread_variables(tmp_path, monkeypatch):
     assert info["blas_threads_env"]["MKL_NUM_THREADS"] is None
     assert set(info["blas_threads_env"]) == {
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+
+def test_run_info_records_the_live_blas_thread_count(tmp_path):
+    write_run_info(tmp_path, {}, [1])
+    threads = json.loads((tmp_path / "run_info.json").read_text())["blas_threads"]
+    assert threads is None or (type(threads) is int and threads >= 1)
+    assert threads == blas_threads()
 
 
 def test_train_metrics_csv_matches_summary(trained_run):

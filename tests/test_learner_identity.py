@@ -1,18 +1,27 @@
-"""The learner's cheaper elementwise formulations change no output byte.
+"""The learner's cheaper formulations against the plain ones they replaced.
 
-The references below are the plain formulations: ReLU as a select on
-``a > 0``, LayerNorm statistics through ``ndarray.mean``, ``np.add.at``
-scatters, and the finite-gradient check ahead of the clip.
+The elementwise references are ReLU as a select on ``a > 0``, LayerNorm
+statistics through ``ndarray.mean``, ``np.add.at`` scatters, and the
+finite-gradient check ahead of the clip; they change no output byte.  The
+all-rows references compute Q for every CAV row (the graph readout
+projecting every node before it mixes) and gather the active rows after;
+the learner computes only the rows its loss and targets read, which is
+exact in real arithmetic, so float64 agrees to rounding and ``madqn``,
+whose rows never mix, to the byte.
 Both paths run in this one process on the same batches, so the comparison
 holds on any BLAS build and thread count.
 """
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from ramplab import network as network_module
-from ramplab.autodiff import Tensor, _node, backward, mean_all, mul, sub
+from ramplab.autodiff import (
+    Tensor, _node, backward, gather, matmul, mean_all, mul, no_grad, relu, scene_matmul,
+    select_rows, sub,
+)
 from ramplab.config import ExperimentConfig, TrainingConfig
 from ramplab.network import build_network
 from ramplab.optim import Adam, clip_global_grad_norm
@@ -66,13 +75,12 @@ def reference_gather(a, rows, cols):
 
 
 def reference_train_on_batch(batch, net, target_net, optimizer, gamma):
-    scene, cav = np.nonzero(batch.s.alive)
+    rows = np.flatnonzero(batch.s.alive)
     y = td_targets(batch, target_net, gamma)
     net.store.zero_grads()
-    q_all = net.forward_batch(batch.s)
-    pred = reference_gather(q_all, scene * batch.actions.shape[1] + cav,
-                            batch.actions[scene, cav])
-    diff = sub(pred, Tensor(y[scene, cav].astype(net.store.dtype)[:, None]))
+    q = net.forward_batch(batch.s, rows)
+    pred = reference_gather(q, np.arange(rows.size), batch.actions.reshape(-1)[rows])
+    diff = sub(pred, Tensor(y.reshape(-1)[rows].astype(net.store.dtype)[:, None]))
     loss = mean_all(mul(diff, diff))
     backward(loss)
     net.store.check_finite_grads()
@@ -81,14 +89,50 @@ def reference_train_on_batch(batch, net, target_net, optimizer, gamma):
     return loss.item()
 
 
+def all_nodes_gcn_forward(features, e_norm, weights, cav_ids=None, rows=None):
+    """Every layer projects every node and then mixes; the CAV rows are
+    picked from the last layer's output."""
+    n = e_norm.shape[-1]
+    mixer = e_norm.reshape(-1, n, n)
+    h = features
+    for w in weights:
+        h = relu(scene_matmul(mixer, matmul(h, w)))
+    if cav_ids is None:
+        return h
+    assert rows is None
+    return select_rows(h, (np.arange(len(mixer))[:, None] * n + cav_ids).reshape(-1))
+
+
+def all_rows_td_targets(batch, target_net, gamma):
+    with no_grad():
+        q_next = target_net.forward_batch(batch.s_next).data
+    n_scenes, n_cavs = batch.actions.shape
+    best = q_next.max(axis=1).reshape(n_scenes, n_cavs).astype(np.float64)
+    bootstrap = batch.s.alive & ~batch.done[:, None] & batch.s_next.alive
+    reward = batch.reward[:, None]
+    return np.where(bootstrap, reward + gamma * best, reward)
+
+
+def all_rows_train_on_batch(batch, net, target_net, optimizer, gamma):
+    scene, cav = np.nonzero(batch.s.alive)
+    y = all_rows_td_targets(batch, target_net, gamma)
+    net.store.zero_grads()
+    q_all = net.forward_batch(batch.s)
+    pred = gather(q_all, scene * batch.actions.shape[1] + cav, batch.actions[scene, cav])
+    diff = sub(pred, Tensor(y[scene, cav].astype(net.store.dtype)[:, None]))
+    loss = mean_all(mul(diff, diff))
+    backward(loss)
+    clip_global_grad_norm(net.store, MAX_GRAD_NORM)
+    optimizer.step()
+    return loss.item()
+
+
 STEPS = 24
 
 
-@pytest.fixture(scope="module", params=[("gitsr", "agent_centric"), ("madqn", "scene_centric")],
-                ids=lambda p: p[0])
-def replay(request):
+@functools.lru_cache(maxsize=None)
+def replay_batches(variant, representation):
     """A fixed list of default-size batches (B=32) from random-action play."""
-    variant, representation = request.param
     training = dataclasses.replace(TrainingConfig(), warmup_steps=10 ** 9, buffer_capacity=400)
     cfg = ExperimentConfig(training=training, model_variant=variant,
                            representation=representation)
@@ -98,8 +142,14 @@ def replay(request):
     return cfg, [trainer.buffer.sample(training.batch) for _ in range(STEPS)]
 
 
-def learn(cfg, batches, step):
-    net = build_network(cfg, seed=5)
+@pytest.fixture(scope="module", params=[("gitsr", "agent_centric"), ("madqn", "scene_centric")],
+                ids=lambda p: p[0])
+def replay(request):
+    return replay_batches(*request.param)
+
+
+def learn(cfg, batches, step, dtype=np.float32):
+    net = build_network(cfg, seed=5, dtype=dtype)
     target = net.clone()
     opt = Adam(net.store, cfg.training.lr)
     losses = []
@@ -124,3 +174,28 @@ def test_learner_is_byte_identical_to_the_reference_formulations(replay, monkeyp
         assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
         assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
 
+
+@pytest.mark.parametrize("variant, representation, dtype", [
+    ("gitsr", "agent_centric", np.float64),
+    ("madqn_transformer", "agent_centric", np.float64),
+    ("madqn", "scene_centric", np.float32),
+], ids=["gitsr-float64", "madqn_transformer-float64", "madqn-float32"])
+def test_row_subset_learner_matches_the_all_rows_learner(variant, representation, dtype,
+                                                         monkeypatch):
+    cfg, batches = replay_batches(variant, representation)
+    assert not all(batch.s.alive.all() for batch in batches)   # some rows are cut
+    net, opt, losses = learn(cfg, batches, train_on_batch, dtype)
+    monkeypatch.setattr(network_module, "gcn_forward", all_nodes_gcn_forward)
+    ref_net, ref_opt, ref_losses = learn(cfg, batches, all_rows_train_on_batch, dtype)
+    assert opt.t == ref_opt.t == STEPS
+    if dtype == np.float32:
+        assert losses == ref_losses
+        for name, p in net.store.items():
+            assert p.data.tobytes() == ref_net.store.params[name].data.tobytes(), name
+            assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
+            assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
+        return
+    np.testing.assert_allclose(losses, ref_losses, rtol=1e-12)
+    for name, p in net.store.items():
+        ref = ref_net.store.params[name].data
+        assert np.abs(p.data - ref).max() <= 1e-12 * np.abs(ref).max(), name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import random_rollout, small_experiment, tiny_network
-from ramplab.autodiff import Tensor, graph_nodes
+from ramplab.autodiff import Tensor, backward, graph_nodes, mul, no_grad, sum_all
 from ramplab.config import MODEL_VARIANTS, NetworkConfig
 from ramplab.network import (
     CheckpointError,
@@ -185,12 +185,12 @@ def test_q_head_with_and_without_graph():
     h = rng.normal(size=(5, 4))
     cav_rows = np.array([0, 3])
     w1, b1, w2, b2 = qhead_params(rng, 8)
-    out = q_head(Tensor(x), Tensor(h), cav_rows, w1, b1, w2, b2).data
+    out = q_head(Tensor(x), Tensor(h[cav_rows]), w1, b1, w2, b2).data
     fused = np.hstack([x, h[cav_rows]])
     want = np.maximum(fused @ w1.data + b1.data, 0) @ w2.data + b2.data
     np.testing.assert_allclose(out, want, rtol=1e-12)
     w1s, b1s, w2s, b2s = qhead_params(rng, 4)
-    alone = q_head(Tensor(x), None, None, w1s, b1s, w2s, b2s).data
+    alone = q_head(Tensor(x), None, w1s, b1s, w2s, b2s).data
     want_alone = np.maximum(x @ w1s.data + b1s.data, 0) @ w2s.data + b2s.data
     np.testing.assert_allclose(alone, want_alone, rtol=1e-12)
     assert out.shape == alone.shape == (2, 9)
@@ -199,7 +199,7 @@ def test_q_head_with_and_without_graph():
 def test_q_head_zero_input_yields_bias_row():
     rng = np.random.default_rng(9)
     w1, b1, w2, b2 = qhead_params(rng, 4)
-    out = q_head(Tensor(np.zeros((3, 4))), None, None, w1, b1, w2, b2).data
+    out = q_head(Tensor(np.zeros((3, 4))), None, w1, b1, w2, b2).data
     want = np.maximum(b1.data, 0) @ w2.data + b2.data
     np.testing.assert_allclose(out, np.tile(want, (3, 1)), rtol=1e-12)
 
@@ -271,6 +271,60 @@ def test_gitsr_uses_graph_and_transformer_paths():
     shifted = dataclasses.replace(snap, sr=snap.sr.copy())
     shifted.sr[0, 0] += 0.5
     assert not np.array_equal(net.q_values(shifted), q0)
+
+
+def two_block_experiment(variant):
+    """Two transformer blocks and two graph layers, so the row subset is
+    taken after a block and a layer that still see every row."""
+    return small_experiment(model_variant=variant,
+                            network=dataclasses.replace(tiny_network(), n_blocks=2,
+                                                        gcn_layers=2))
+
+
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_forward_on_a_row_subset_matches_the_full_forward(variant):
+    cfg = two_block_experiment(variant)
+    net = build_network(cfg, seed=6, dtype=np.float64)
+    states = stack_states([make_snap(s, cfg.scenario) for s in range(5)])
+    full = net.forward_batch(states).data
+    rng = np.random.default_rng(6)
+    n_rows = len(full)
+    subsets = [np.array([0]), np.array([n_rows - 1]), np.arange(n_rows)]
+    subsets += [np.sort(rng.choice(n_rows, size=k, replace=False)) for k in (1, 3, 6, 9)]
+    for rows in subsets:
+        got = net.forward_batch(states, rows).data
+        assert got.shape == (len(rows), 9)
+        np.testing.assert_allclose(got, full[rows], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_row_subset_loss_gradient_matches_finite_differences(variant):
+    cfg = two_block_experiment(variant)
+    net = build_network(cfg, seed=7, dtype=np.float64)
+    states = stack_states([make_snap(s, cfg.scenario) for s in range(3)])
+    rows = np.array([1, 2, 5])
+    rng = np.random.default_rng(7)
+    weights = Tensor(rng.normal(size=(len(rows), 9)))
+
+    def loss():
+        return sum_all(mul(net.forward_batch(states, rows), weights))
+
+    net.store.zero_grads()
+    backward(loss())
+    eps = 1e-6
+    for name, p in net.store.items():
+        assert p.grad is not None, name
+        for flat in rng.choice(p.data.size, size=min(4, p.data.size), replace=False):
+            i = np.unravel_index(flat, p.data.shape)
+            keep = p.data[i]
+            with no_grad():
+                p.data[i] = keep + eps
+                hi = loss().item()
+                p.data[i] = keep - eps
+                lo = loss().item()
+            p.data[i] = keep
+            numeric = (hi - lo) / (2 * eps)
+            assert abs(p.grad[i] - numeric) <= 1e-6 * max(1.0, abs(numeric)), (name, i)
 
 
 def test_network_seed_determinism():

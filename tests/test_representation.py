@@ -212,6 +212,16 @@ def test_scene_centric_rows_share_one_grid():
     assert np.signbit(flat).any()
 
 
+@pytest.mark.parametrize("representation", ["agent_centric", "scene_centric"])
+def test_grid_rows_of_a_row_subset_match_the_full_rows(representation):
+    states = stack_states([build_state(random_rollout(CFG, seed=s, n_steps=3), CFG,
+                                       representation) for s in range(3)])
+    states.alive[1, 2] = False   # row 6: +0.0, also under negated CAV cells
+    full = grid_rows(states).reshape(-1, states.sr.shape[2])
+    for rows in (np.array([6]), np.array([0, 5, 6, 11]), np.arange(12)[::-1]):
+        assert grid_rows(states, rows).tobytes() == full[rows].tobytes()
+
+
 # -- node features --------------------------------------------------------
 
 

@@ -98,9 +98,9 @@ class FakeTargetNet:
     def __init__(self, q_rows):
         self.q_rows = np.asarray(q_rows, dtype=float)
 
-    def forward_batch(self, states):
+    def forward_batch(self, states, rows):
         out = lambda: None
-        out.data = self.q_rows
+        out.data = self.q_rows[rows]
         return out
 
 
@@ -131,6 +131,21 @@ def test_td_targets_inactive_at_start_gets_raw_reward():
     batch = fake_batch([3.0], [False], [[False, True]], [[True, True]])
     y = td_targets(batch, FakeTargetNet(np.full((2, 3), 10.0)), gamma=0.9)
     np.testing.assert_allclose(y, [[3.0, 3.0 + 9.0]])
+
+
+class UncallableTargetNet:
+    def forward_batch(self, states, rows):
+        raise AssertionError("the target network ran without a bootstrap row")
+
+
+def test_td_targets_without_a_bootstrap_row_skips_the_target_network():
+    # terminal, inactive at s, or gone at s_next: no row bootstraps
+    batch = fake_batch([1.5, -0.5, 2.0], [True, False, False],
+                       [[True, True], [False, True], [True, False]],
+                       [[True, True], [True, False], [False, True]])
+    y = td_targets(batch, UncallableTargetNet(), gamma=0.9)
+    assert y.dtype == np.float64
+    np.testing.assert_array_equal(y, [[1.5, 1.5], [-0.5, -0.5], [2.0, 2.0]])
 
 
 # -- gradient steps -------------------------------------------------------
@@ -261,7 +276,8 @@ def loop_train_on_batch(batch, net, target_net, optimizer, gamma):
                 cols.append(int(batch.actions[b, i]))
                 targets.append(y[b, i])
     net.store.zero_grads()
-    pred = ad.gather(net.forward_batch(batch.s), np.array(rows), np.array(cols))
+    pred = ad.gather(net.forward_batch(batch.s, np.array(rows)), np.arange(len(rows)),
+                     np.array(cols))
     diff = ad.sub(pred, ad.Tensor(np.array(targets, dtype=net.store.dtype)[:, None]))
     loss = ad.mean_all(ad.mul(diff, diff))
     ad.backward(loss)
