@@ -50,6 +50,7 @@ from ramplab.config import ExperimentConfig, NetworkConfig
 from ramplab.representation import (
     StateBatch,
     StateSnapshot,
+    cav_rows,
     feature_width,
     grid_rows,
     grid_width,
@@ -240,7 +241,8 @@ def q_head(
 
 
 def flat_rows(stacked: np.ndarray, dtype) -> Tensor:
-    """(B, k, w) per-scene rows as one (B*k, w) input, scene-major."""
+    """(B, k, w) per-scene rows, or rows already scene-major, as one (N, w)
+    input."""
     return Tensor(stacked.reshape(-1, stacked.shape[-1]).astype(dtype, copy=False))
 
 
@@ -388,12 +390,10 @@ class BaselineNetwork(QNetwork):
         self._init_qhead(rng, self.feat_width + self.input_width)
 
     def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
-        if rows is None:
-            rows = np.arange(states.alive.size)
-        scene, cav = np.divmod(rows, states.alive.shape[1])
-        own = states.features[scene, states.cav_ids[scene, cav]]
+        rows = cav_rows(states, rows)
+        own = states.features[rows // states.alive.shape[1], states.cav_ids.reshape(-1)[rows]]
         x = np.concatenate([own, grid_rows(states, rows)], axis=1)
-        return q_head(Tensor(x.astype(self.store.dtype, copy=False)), None,
+        return q_head(flat_rows(x, self.store.dtype), None,
                       self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 

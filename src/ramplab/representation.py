@@ -214,16 +214,20 @@ def stack_states(snaps: list[StateSnapshot]) -> StateBatch:
     return StateBatch(**{f.name: stacked(f.name) for f in fields(StateBatch)})
 
 
+def cav_rows(states: StateBatch, rows: np.ndarray | None = None) -> np.ndarray:
+    """The scene-major CAV row indices ``rows``, by default all B*m."""
+    return np.arange(states.alive.size) if rows is None else rows
+
+
 def grid_rows(states: StateBatch, rows: np.ndarray | None = None) -> np.ndarray:
-    """(B, m, w) grid rows, one per CAV: its own agent-centric row or the
-    shared scene grid, +0.0 for CAVs inactive in that state.  A product with
-    ``alive`` would give -0.0 in the negated CAV cells of a scene grid.
-    With ``rows`` (scene-major CAV row indices), only those, as (r, w)."""
-    if rows is None:
-        return np.where(states.alive[:, :, None], states.sr, np.float32(0.0))
-    scene, cav = np.divmod(rows, states.alive.shape[1])
-    out = states.sr[scene, 0] if states.sr.shape[1] == 1 else states.sr[scene, cav]
-    out[~states.alive[scene, cav]] = 0.0   # a fresh copy: fancy indexing
+    """(r, w) grid rows of the scene-major CAV rows ``rows`` (default: all
+    B*m), one per CAV: its own agent-centric row or the shared scene grid,
+    +0.0 for CAVs inactive in that state.  A product with ``alive`` would
+    give -0.0 in the negated CAV cells of a scene grid."""
+    rows = cav_rows(states, rows)
+    grids = states.sr.reshape(-1, states.sr.shape[-1])
+    out = grids.take(rows // states.alive.shape[1] if states.sr.shape[1] == 1 else rows, axis=0)
+    out[~states.alive.reshape(-1)[rows]] = 0.0   # a fresh copy: take
     return out
 
 

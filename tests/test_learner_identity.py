@@ -75,6 +75,9 @@ def reference_gather(a, rows, cols):
 
 
 def reference_train_on_batch(batch, net, target_net, optimizer, gamma):
+    # The forward asks for the active rows, as the learner's does, so the
+    # float32 bytes compared hang only on the reference ops; the all-rows
+    # forward is checked in test_row_subset_learner_matches_the_all_rows_learner.
     rows = np.flatnonzero(batch.s.alive)
     y = td_targets(batch, target_net, gamma)
     net.store.zero_grads()

@@ -106,8 +106,9 @@ def test_sampled_states_equal_build_state_bit_for_bit(representation):
         for got, snap in ((batch.s, stored[int(tag)][0]), (batch.s_next, stored[int(tag)][1])):
             assert got.sr[b].dtype == snap.sr.dtype
             assert got.sr[b].tobytes() == snap.sr.tobytes()
-            rows = grid_rows(stack_states([snap]))[0]
-            assert grid_rows(got)[b].tobytes() == rows.tobytes()
+            rows = grid_rows(stack_states([snap]))
+            got_rows = grid_rows(got).reshape(len(got.sr), *rows.shape)
+            assert got_rows[b].tobytes() == rows.tobytes()
             assert got.features[b].tobytes() == snap.features.tobytes()
             assert got.adjacency[b].astype(np.float32).tobytes() == snap.adjacency.tobytes()
             np.testing.assert_array_equal(got.alive[b], snap.alive)

@@ -203,7 +203,7 @@ def test_scene_centric_rows_share_one_grid():
     flat = build_scene_grid(world, CFG).reshape(-1).astype(np.float32)
     assert snap.sr.shape == (1, 603)
     np.testing.assert_array_equal(snap.sr[0], flat)
-    rows = grid_rows(stack_states([snap]))[0]
+    rows = grid_rows(stack_states([snap]))
     assert rows.shape == (3, 603) and rows.dtype == np.float32
     np.testing.assert_array_equal(rows[0], flat)
     np.testing.assert_array_equal(rows[1], flat)
@@ -217,7 +217,8 @@ def test_grid_rows_of_a_row_subset_match_the_full_rows(representation):
     states = stack_states([build_state(random_rollout(CFG, seed=s, n_steps=3), CFG,
                                        representation) for s in range(3)])
     states.alive[1, 2] = False   # row 6: +0.0, also under negated CAV cells
-    full = grid_rows(states).reshape(-1, states.sr.shape[2])
+    full = np.where(states.alive[:, :, None], states.sr, np.float32(0.0)).reshape(12, -1)
+    assert grid_rows(states).tobytes() == full.tobytes()
     for rows in (np.array([6]), np.array([0, 5, 6, 11]), np.arange(12)[::-1]):
         assert grid_rows(states, rows).tobytes() == full[rows].tobytes()
 
@@ -366,7 +367,7 @@ def test_build_state_shapes_and_flags():
     assert lean.features is None and lean.adjacency is None
     scene = build_state(world, CFG, "scene_centric")
     assert scene.sr.shape == (1, 603) and scene.sr.dtype == np.float32
-    assert grid_rows(stack_states([scene])).shape == (1, 4, 603)
+    assert grid_rows(stack_states([scene])).shape == (4, 603)
     for representation, state in (("agent_centric", snap), ("scene_centric", scene)):
         shapes = snapshot_shapes(CFG, representation)
         assert shapes["sr"] == state.sr.shape
