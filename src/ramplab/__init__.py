@@ -12,7 +12,6 @@ from ramplab.config import (
     ScenarioConfig,
     TrainingConfig,
     load_experiment_config,
-    load_scenario_config,
 )
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "ScenarioConfig",
     "TrainingConfig",
     "load_experiment_config",
-    "load_scenario_config",
 ]
 
 __version__ = "0.1.0"

@@ -146,8 +146,9 @@ def cmd_ablate(args) -> int:
     failures: dict = {}
     combined_path = out_dir / "combined.csv"
     with open(combined_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("row_type", "representation") + METRICS_COLUMNS)
+        columns = ("row_type", "representation") + METRICS_COLUMNS
+        writer = csv.DictWriter(fh, columns, restval="")
+        writer.writeheader()
         for variant in MODEL_VARIANTS:
             for representation in REPRESENTATIONS:
                 cell = f"{variant}/{representation}"
@@ -162,17 +163,15 @@ def cmd_ablate(args) -> int:
                         rows = trainer.train()
                         per_seed[seed] = rows
                         for m in rows:
-                            writer.writerow(["episode", representation] + metrics_csv_row(m))
+                            writer.writerow(dict(zip(
+                                columns, ["episode", representation, *metrics_csv_row(m)])))
                     summary = summarize_final_window(per_seed, window)
                     table[cell] = {
                         name: stats["mean"] for name, stats in summary["metrics"].items()
                     }
-                    writer.writerow(
-                        ["aggregate", representation, "", "", variant,
-                         repr(table[cell]["return"]), repr(table[cell]["success_rate"]),
-                         repr(table[cell]["collisions"]), repr(table[cell]["mean_speed"]),
-                         "", ""]
-                    )
+                    writer.writerow({"row_type": "aggregate", "representation": representation,
+                                     "variant": variant,
+                                     **{name: repr(v) for name, v in table[cell].items()}})
                 except Exception as exc:  # cell isolation: keep the grid going
                     failures[cell] = f"{type(exc).__name__}: {exc}"
                     print(f"ablation cell {cell} failed: {failures[cell]}", file=sys.stderr)
@@ -209,8 +208,7 @@ def cmd_trace(args) -> int:
                 "r_total": repr(reward.total) if i == 0 else "",
             })
 
-    return_total, *_ = rollout(world, cfg, net.variant,
-                               functools.partial(greedy_actions, net), record)
+    return_total, *_ = rollout(world, cfg, net, functools.partial(greedy_actions, net), record)
     out_path = Path(args.out or "trace.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)

@@ -284,13 +284,6 @@ def _read_json(path: str | Path) -> Any:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_scenario_config(path: str | Path) -> ScenarioConfig:
-    """Load and validate a scenario JSON file."""
-    cfg = _from_dict(ScenarioConfig, _read_json(path), "scenario")
-    cfg.validate()
-    return cfg
-
-
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment JSON file."""
     cfg = _from_dict(ExperimentConfig, _read_json(path), "experiment")

@@ -17,7 +17,8 @@ a batch axis, so cross-scene mixing is structurally impossible.  A forward
 may be asked for a subset of the CAV rows: every CAV still attends and is
 attended to in every block, but the layers that act row by row after the
 last attention (and the graph encoder's last projection) run only on the
-rows asked for.
+rows asked for.  Each variant names the optional snapshot fields its forward
+reads (``reads``), and :meth:`QNetwork.observe` builds only those.
 
 Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
 plus a little-endian float32 blob and round-trip bit-exactly.
@@ -46,17 +47,18 @@ from ramplab.autodiff import (
     scene_matmul,
     select_rows,
 )
-from ramplab.config import ExperimentConfig, NetworkConfig
+from ramplab.config import ExperimentConfig, NetworkConfig, ScenarioConfig
 from ramplab.representation import (
     StateBatch,
     StateSnapshot,
+    build_state,
     cav_rows,
     feature_width,
     grid_rows,
     grid_width,
     stack_states,
 )
-from ramplab.simulation import N_ACTIONS
+from ramplab.simulation import N_ACTIONS, WorldState
 
 
 class TrainingError(RuntimeError):
@@ -210,17 +212,16 @@ def gcn_forward(
     ``e_norm`` is one (n, n) scene or a (B, n, n) stack whose scenes own
     consecutive n-row blocks of ``features``.  Every node's row is returned,
     or, given ``cav_ids`` ((B, m) node of each CAV), one row per CAV,
-    scene-major, or only the ``rows`` among those.  The readout mixes before
-    it projects, ``relu((E[cav] H) W)``, so only the returned rows are
-    projected."""
+    scene-major, or only the ``rows`` among those.  The last layer mixes
+    before it projects, ``relu((E[cav] H) W)``, so only the returned rows
+    are projected."""
     n = e_norm.shape[-1]
     mixer = e_norm.reshape(-1, n, n)
     h = features
     for w in weights[:-1]:
         h = relu(scene_matmul(mixer, matmul(h, w)))
-    if cav_ids is None:
-        return relu(scene_matmul(mixer, matmul(h, weights[-1])))
-    mixed = scene_matmul(mixer[np.arange(len(mixer))[:, None], cav_ids], h)
+    readout = mixer if cav_ids is None else mixer[np.arange(len(mixer))[:, None], cav_ids]
+    mixed = scene_matmul(readout, h)
     if rows is not None:
         mixed = select_rows(mixed, rows)
     return relu(matmul(mixed, weights[-1]))
@@ -274,11 +275,21 @@ class QNetwork:
 
     # -- forward ---------------------------------------------------------
 
+    # Optional StateBatch fields that forward_batch reads.
+    reads: tuple[str, ...] = ()
+
     def forward_batch(self, states: StateBatch,
                       rows: np.ndarray | None = None) -> Tensor:  # pragma: no cover
         """Q rows for every CAV of every stacked state, scene-major, or only
         for the scene-major CAV row indices ``rows``, in their order."""
         raise NotImplementedError
+
+    def observe(self, world: WorldState, scenario: ScenarioConfig) -> StateSnapshot:
+        """Snapshot of ``world`` in this network's representation, with only
+        the optional fields its forward reads built."""
+        return build_state(world, scenario, self.representation,
+                           with_features="features" in self.reads,
+                           with_adjacency="adjacency" in self.reads)
 
     def forward(self, snap: StateSnapshot) -> Tensor:
         return self.forward_batch(stack_states([snap]))
@@ -357,6 +368,8 @@ class GitsrNetwork(QNetwork):
         ]
         self._init_qhead(rng, 2 * cfg.d_model)
 
+    reads = ("features", "adjacency")
+
     def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
         dtype = self.store.dtype
         x = transformer_encode(flat_rows(grid_rows(states), dtype), self.transformer,
@@ -374,6 +387,8 @@ class TransformerOnlyNetwork(QNetwork):
         self._init_transformer(rng)
         self._init_qhead(rng, self.net_cfg.d_model)
 
+    reads = ()
+
     def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
         x = transformer_encode(flat_rows(grid_rows(states), self.store.dtype), self.transformer,
                                self.net_cfg.n_heads, len(states.sr), rows)
@@ -388,6 +403,8 @@ class BaselineNetwork(QNetwork):
 
     def _build(self, rng: np.random.Generator) -> None:
         self._init_qhead(rng, self.feat_width + self.input_width)
+
+    reads = ("features",)
 
     def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
         rows = cav_rows(states, rows)
@@ -489,14 +506,14 @@ def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]
         raise CheckpointError(f"malformed checkpoint manifest: {type(exc).__name__}: {exc}") from exc
 
 
-def network_from_checkpoint(directory: str | Path, dtype=np.float32) -> QNetwork:
-    """Rebuild the saved architecture and restore its parameters."""
+def network_from_checkpoint(directory: str | Path) -> QNetwork:
+    """Rebuild the saved architecture in float32 and restore its parameters."""
     meta, arrays = load_checkpoint(directory)
     try:
         cls = _VARIANTS[meta["variant"]]
         net_cfg = NetworkConfig(**meta["network"])
         net = cls(net_cfg, meta["representation"], meta["input_width"],
-                  meta["feature_width"], seed=0, dtype=dtype)
+                  meta["feature_width"], seed=0)
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"unusable checkpoint metadata: {exc}") from exc
     net.store.load_arrays(arrays)

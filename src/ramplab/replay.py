@@ -2,7 +2,7 @@
 sampling."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,41 +22,39 @@ class Batch:
     done: np.ndarray       # (B,) bool
 
 
-# Ring dtypes of the state fields other than float32; adjacency is 0/1.
-RING_DTYPES = {"cav_ids": np.intp, "alive": bool, "adjacency": bool}
-
-
 class ReplayBuffer:
     """Ring arrays sized for ``capacity`` transitions; at capacity the oldest
     transition is overwritten first.
 
-    ``shapes`` gives the state fields to keep and their per-state shapes (see
-    :func:`~ramplab.representation.snapshot_shapes`); each has one ring for s
-    and one for s_next.  The rings come from ``np.zeros``, so their pages are
+    The first :meth:`add` lays the rings out: one for s and one for s_next
+    per state field it holds (None fields get none), each with that array's
+    shape and dtype.  The rings come from ``np.zeros``, so their pages are
     touched only as the buffer fills.
     """
 
-    def __init__(self, capacity: int, seed: int, shapes: dict[str, tuple[int, ...]]):
+    def __init__(self, capacity: int, seed: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
         self._adds = 0
 
-        def rings() -> dict[str, np.ndarray]:
-            return {name: np.zeros((capacity, *shape), dtype=RING_DTYPES.get(name, np.float32))
-                    for name, shape in shapes.items()}
-
-        self._s, self._s_next = rings(), rings()
-        self._actions = np.zeros((capacity, *shapes["alive"]), dtype=np.int64)
-        self._reward = np.zeros(capacity)
-        self._done = np.zeros(capacity, dtype=bool)
+    def _allocate(self, s: StateSnapshot, actions: np.ndarray) -> None:
+        first = {f.name: np.asarray(getattr(s, f.name)) for f in fields(StateBatch)
+                 if getattr(s, f.name) is not None}
+        self._s, self._s_next = ({name: np.zeros((self.capacity, *a.shape), dtype=a.dtype)
+                                  for name, a in first.items()} for _ in range(2))
+        self._actions = np.zeros((self.capacity, *np.shape(actions)), dtype=np.int64)
+        self._reward = np.zeros(self.capacity)
+        self._done = np.zeros(self.capacity, dtype=bool)
 
     def __len__(self) -> int:
         return min(self._adds, self.capacity)
 
     def add(self, s: StateSnapshot, actions: np.ndarray, reward: float,
             s_next: StateSnapshot, done: bool) -> None:
+        if not self._adds:
+            self._allocate(s, actions)
         slot = self._adds % self.capacity
         for rings, snap in ((self._s, s), (self._s_next, s_next)):
             for name, ring in rings.items():

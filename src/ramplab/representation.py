@@ -169,14 +169,15 @@ def build_mask(world: WorldState) -> np.ndarray:
 
 @dataclass
 class StateSnapshot:
-    """Everything the networks may consume about one world state, in float32.
+    """Everything the networks may consume about one world state: float32
+    arrays, except the 0/1 ``adjacency`` (bool) and ``alive``.
 
     ``sr`` is one agent-centric grid row per CAV in ``cav_ids`` order, or the
     one flattened scene-centric grid; :func:`grid_rows` gives the per-CAV rows
     the networks read.  ``features``/``adjacency``/``mask`` rows follow
     vehicle id order.  ``alive`` flags which CAVs were active when
-    the snapshot was taken.  Models that ignore the graph leave ``features``
-    and/or ``adjacency`` unbuilt (None).
+    the snapshot was taken.  ``features`` and ``adjacency`` are None where
+    the network does not read them (see ``QNetwork.observe``).
     """
 
     sr: np.ndarray
@@ -231,25 +232,6 @@ def grid_rows(states: StateBatch, rows: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def snapshot_shapes(
-    config: ScenarioConfig,
-    representation: str,
-    *,
-    with_features: bool = True,
-    with_adjacency: bool = True,
-) -> dict[str, tuple[int, ...]]:
-    """Shapes of the array fields :func:`build_state` fills, by field name."""
-    m, n = config.n_cav, config.n_cav + config.n_hdv
-    grid_count = m if representation == "agent_centric" else 1
-    shapes = {"sr": (grid_count, grid_width(config, representation)),
-              "cav_ids": (m,), "alive": (m,)}
-    if with_features:
-        shapes["features"] = (n, feature_width(config))
-    if with_adjacency:
-        shapes["adjacency"] = (n, n)
-    return shapes
-
-
 def build_state(
     world: WorldState,
     config: ScenarioConfig,
@@ -267,7 +249,7 @@ def build_state(
         raise ValueError(f"unknown representation {representation!r}")
     cav_ids = tuple(world.cav_ids())
     features = build_feature_matrix(world, config).astype(np.float32) if with_features else None
-    adjacency = build_adjacency(world, config).astype(np.float32) if with_adjacency else None
+    adjacency = build_adjacency(world, config).astype(bool) if with_adjacency else None
     return StateSnapshot(
         sr=sr.astype(np.float32),
         features=features,

@@ -25,7 +25,7 @@ from ramplab.config import EpsilonConfig, ExperimentConfig
 from ramplab.network import QNetwork, TrainingError, build_network
 from ramplab.optim import Adam, clip_global_grad_norm
 from ramplab.replay import Batch, ReplayBuffer
-from ramplab.representation import StateSnapshot, build_state, snapshot_shapes
+from ramplab.representation import StateSnapshot
 from ramplab.rewards import RewardBreakdown, compute_reward
 from ramplab.simulation import (
     FILLER_ACTION_INDEX,
@@ -39,15 +39,6 @@ from ramplab.simulation import (
 )
 
 MAX_GRAD_NORM = 10.0
-
-
-def snapshot_flags(variant: str) -> tuple[bool, bool]:
-    """(with_features, with_adjacency) actually consumed by each variant."""
-    return {
-        "gitsr": (True, True),
-        "madqn_transformer": (False, False),
-        "madqn": (True, False),
-    }[variant]
 
 
 def epsilon(step_count: int, cfg: EpsilonConfig) -> float:
@@ -169,25 +160,19 @@ def greedy_actions(net: QNetwork, snap: StateSnapshot) -> np.ndarray:
 def rollout(
     world: WorldState,
     cfg: ExperimentConfig,
-    variant: str,
+    net: QNetwork,
     policy: Callable[[StateSnapshot], np.ndarray],
     on_step: Callable[[StateSnapshot, np.ndarray, RewardBreakdown, StateSnapshot, bool],
                       None] | None = None,
 ) -> tuple[float, float, int, float]:
-    """Play ``world`` to the end of its episode, snapshotting what ``variant``
-    reads.  ``policy(s)`` gives one action index per CAV row (filler on
+    """Play ``world`` to the end of its episode, snapshotting what ``net``
+    observes.  ``policy(s)`` gives one action index per CAV row (filler on
     inactive rows); ``on_step(s, actions, reward, s_next, done)`` runs after
     each world step; without it the terminal state, which only ``on_step``
     reads, is not snapshotted.  Returns the return, success rate, collisions
     and the mean over steps of the active CAVs' mean speed (0.0 if no step
     had one), in :class:`EpisodeMetrics` field order."""
-    with_features, with_adjacency = snapshot_flags(variant)
-
-    def snapshot() -> StateSnapshot:
-        return build_state(world, cfg.scenario, cfg.representation,
-                           with_features=with_features, with_adjacency=with_adjacency)
-
-    snap = snapshot()
+    snap = net.observe(world, cfg.scenario)
     done = episode_done(world, cfg.scenario)
     return_total = 0.0
     speed_sum = 0.0
@@ -206,7 +191,7 @@ def rollout(
         if active_now:
             speed_sum += sum(v.v for v in active_now) / len(active_now)
             speed_steps += 1
-        snap_next = snapshot() if on_step is not None or not done else None
+        snap_next = None if done and on_step is None else net.observe(world, cfg.scenario)
         if on_step is not None:
             on_step(snap, actions, reward, snap_next, done)
         snap = snap_next
@@ -226,12 +211,8 @@ class Trainer:
         self.net = build_network(cfg, int(net_ss.generate_state(1)[0]), dtype)
         self.target = self.net.clone()
         self.optimizer = Adam(self.net.store, cfg.training.lr)
-        with_features, with_adjacency = snapshot_flags(cfg.model_variant)
-        self.buffer = ReplayBuffer(
-            cfg.training.buffer_capacity, int(buffer_ss.generate_state(1)[0]),
-            snapshot_shapes(cfg.scenario, cfg.representation,
-                            with_features=with_features, with_adjacency=with_adjacency),
-        )
+        self.buffer = ReplayBuffer(cfg.training.buffer_capacity,
+                                   int(buffer_ss.generate_state(1)[0]))
         self.explore_rng = np.random.default_rng(explore_ss)
         self.env_seed_rng = np.random.default_rng(env_ss)
         self.env_steps = 0
@@ -274,12 +255,11 @@ class Trainer:
         """Play one training episode: store transitions, learn, and advance
         the exploration schedule."""
         t0 = time.perf_counter()
-        variant = self.cfg.model_variant
         world = reset(self.cfg.scenario, int(self.env_seed_rng.integers(2 ** 63)))
         eps_reported = self.current_epsilon()
-        outcome = rollout(world, self.cfg, variant, self._act, self._learn)
+        outcome = rollout(world, self.cfg, self.net, self._act, self._learn)
         self.episodes_run += 1
-        return EpisodeMetrics(self.episodes_run, self.seed, variant, *outcome,
+        return EpisodeMetrics(self.episodes_run, self.seed, self.net.variant, *outcome,
                               epsilon=eps_reported, wall_ms=(time.perf_counter() - t0) * 1e3)
 
     def train(self, on_episode=None, on_checkpoint=None) -> list[EpisodeMetrics]:
@@ -312,7 +292,7 @@ def evaluate_policy(
     for ep in range(n_episodes):
         t0 = time.perf_counter()
         world = reset(cfg.scenario, int(env_seed_rng.integers(2 ** 63)))
-        outcome = rollout(world, cfg, net.variant, policy)
+        outcome = rollout(world, cfg, net, policy)
         out.append(EpisodeMetrics(ep, seed, net.variant, *outcome,
                                   epsilon=0.0, wall_ms=(time.perf_counter() - t0) * 1e3))
     return out

@@ -367,3 +367,11 @@ def test_ablate_covers_the_grid(tmp_path, capsys):
     assert {r["row_type"] for r in rows} == {"episode", "aggregate"}
     reps = [r["representation"] for r in rows if r["row_type"] == "episode"]
     assert sorted(set(reps)) == sorted(REPRESENTATIONS)
+    aggregates = [r for r in rows if r["row_type"] == "aggregate"]
+    assert len(aggregates) == len(cells)
+    for row in aggregates:
+        # each value sits under its own header, read back exactly
+        means = summary["cells"][f"{row['variant']}/{row['representation']}"]
+        assert {name: float(row[name]) for name in means} == means
+        assert set(means) == {"return", "success_rate", "collisions", "mean_speed"}
+        assert all(row[name] == "" for name in ("episode", "seed", "epsilon", "wall_ms"))

@@ -10,7 +10,6 @@ from ramplab.config import (
     NetworkConfig,
     ScenarioConfig,
     load_experiment_config,
-    load_scenario_config,
 )
 from ramplab.runs import write_json
 
@@ -45,17 +44,11 @@ def test_training_defaults():
 
 
 def test_experiment_round_trip(tmp_path):
-    cfg = ExperimentConfig(seeds=[7, 8])
     path = tmp_path / "exp.json"
-    write_json(path, dataclasses.asdict(cfg))
-    assert load_experiment_config(path) == cfg
-
-
-def test_scenario_round_trip(tmp_path):
-    cfg = ScenarioConfig(n_cav=2, idm=IdmParams(a_max=2.5))
-    path = tmp_path / "scenario.json"
-    write_json(path, dataclasses.asdict(cfg))
-    assert load_scenario_config(path) == cfg
+    for cfg in (ExperimentConfig(seeds=[7, 8]),
+                ExperimentConfig(scenario=ScenarioConfig(n_cav=2, idm=IdmParams(a_max=2.5)))):
+        write_json(path, dataclasses.asdict(cfg))
+        assert load_experiment_config(path) == cfg
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -281,6 +281,27 @@ def two_block_experiment(variant):
                                                         gcn_layers=2))
 
 
+@pytest.mark.parametrize("representation", ["agent_centric", "scene_centric"])
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_observe_builds_exactly_the_fields_forward_reads(variant, representation):
+    """What a network observes gives the Q rows of the full snapshot, and
+    each optional field it observes is one its forward cannot do without."""
+    cfg = small_experiment(model_variant=variant, representation=representation)
+    net = build_network(cfg, seed=4)
+    world = random_rollout(cfg.scenario, seed=6, n_steps=4)
+    full = build_state(world, cfg.scenario, representation)
+    seen = net.observe(world, cfg.scenario)
+    assert net.forward(seen).data.tobytes() == net.forward(full).data.tobytes()
+    for name in ("sr", "features", "adjacency", "mask", "alive"):
+        if getattr(seen, name) is not None:
+            assert getattr(seen, name).tobytes() == getattr(full, name).tobytes()
+    assert seen.cav_ids == full.cav_ids
+    for name in ("features", "adjacency"):
+        if getattr(seen, name) is not None:
+            with pytest.raises((AttributeError, TypeError)):
+                net.forward(dataclasses.replace(full, **{name: None}))
+
+
 @pytest.mark.parametrize("variant", MODEL_VARIANTS)
 def test_forward_on_a_row_subset_matches_the_full_forward(variant):
     cfg = two_block_experiment(variant)

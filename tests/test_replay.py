@@ -7,7 +7,6 @@ from ramplab.representation import (
     StateSnapshot,
     build_state,
     grid_rows,
-    snapshot_shapes,
     stack_states,
 )
 from ramplab.simulation import ActionCommand, episode_done, reset, step
@@ -21,8 +20,7 @@ def stub_snapshot(tag: int) -> StateSnapshot:
 
 
 def stub_buffer(capacity: int, seed: int) -> ReplayBuffer:
-    shapes = {"sr": (2, 3), "cav_ids": (2,), "alive": (2,)}
-    return ReplayBuffer(capacity, seed, shapes)
+    return ReplayBuffer(capacity, seed)
 
 
 def add_stub(buf: ReplayBuffer, tag: int) -> None:
@@ -83,7 +81,7 @@ def test_sampled_states_equal_build_state_bit_for_bit(representation):
     with none left."""
     config = scenario(n_cav=3, n_hdv=4, max_steps=40)
     n_episodes = 6
-    buf = ReplayBuffer(n_episodes * config.max_steps, 0, snapshot_shapes(config, representation))
+    buf = ReplayBuffer(n_episodes * config.max_steps, 0)
     rng = np.random.default_rng(0)
     stored = []
     for seed in range(n_episodes):
@@ -110,6 +108,7 @@ def test_sampled_states_equal_build_state_bit_for_bit(representation):
             got_rows = grid_rows(got).reshape(len(got.sr), *rows.shape)
             assert got_rows[b].tobytes() == rows.tobytes()
             assert got.features[b].tobytes() == snap.features.tobytes()
-            assert got.adjacency[b].astype(np.float32).tobytes() == snap.adjacency.tobytes()
+            assert got.adjacency[b].dtype == snap.adjacency.dtype == bool
+            assert got.adjacency[b].tobytes() == snap.adjacency.tobytes()
             np.testing.assert_array_equal(got.alive[b], snap.alive)
             np.testing.assert_array_equal(got.cav_ids[b], snap.cav_ids)

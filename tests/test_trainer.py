@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _helpers import random_rollout, scenario, small_experiment, vehicle, world_of
 from ramplab import autodiff as ad
+from ramplab import network as network_module
 from ramplab import trainer as trainer_module
 from ramplab.autodiff import no_grad
 from ramplab.config import MODEL_VARIANTS, EpsilonConfig
@@ -467,15 +468,36 @@ def test_rollout_snapshots_the_terminal_state_only_for_on_step(monkeypatch):
         calls.append(1)
         return build_state(*args, **kwargs)
 
-    monkeypatch.setattr(trainer_module, "build_state", counting_build_state)
+    monkeypatch.setattr(network_module, "build_state", counting_build_state)
     policy = functools.partial(greedy_actions, net)
     for with_on_step in (False, True):
         calls.clear()
         next_states = []
         world = reset(cfg.scenario, 3)
-        rollout(world, cfg, net.variant, policy,
+        rollout(world, cfg, net, policy,
                 (lambda s, a, r, s_next, done: next_states.append(s_next))
                 if with_on_step else None)
         assert world.step_index > 0
         assert len(calls) == world.step_index + with_on_step
         assert all(s_next is not None for s_next in next_states)
+
+
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_replay_rings_take_the_layout_of_the_observed_state(variant):
+    """After one episode the rings hold, for s and for s_next, one array per
+    field the network observes, shaped and typed as build_state makes it."""
+    cfg = small_experiment(model_variant=variant)
+    trainer = Trainer(cfg, seed=2)
+    trainer.run_episode()
+    full = build_state(reset(cfg.scenario, 0), cfg.scenario, cfg.representation)
+    unread = {"gitsr": set(), "madqn": {"adjacency"},
+              "madqn_transformer": {"features", "adjacency"}}[variant]
+    want = {}
+    for f in dataclasses.fields(StateBatch):
+        if f.name not in unread:
+            value = np.asarray(getattr(full, f.name))
+            want[f.name] = ((cfg.training.buffer_capacity, *value.shape), value.dtype)
+    for rings in (trainer.buffer._s, trainer.buffer._s_next):
+        assert {name: (ring.shape, ring.dtype) for name, ring in rings.items()} == want
+    if variant == "gitsr":
+        assert want["adjacency"][1] == np.dtype(bool)

@@ -1,0 +1,28 @@
+"""``scripts/run_trend_check.py`` at a tiny budget. Criterion 8 runs it at
+full budget and is opt-in, so this run is what catches a rename in the
+trainer or runs modules that the script uses."""
+import csv
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_trend_check.py"
+
+
+def test_trend_check_writes_its_report_and_metrics(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("run_trend_check", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    code = script.main(["--episodes", "2", "--seeds", "0", "--window", "1",
+                        "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "trend_report.json").read_text())
+    assert set(report) == {"episodes", "window", "seeds", "arms", "ordering_holds"}
+    assert (report["episodes"], report["window"], report["seeds"]) == (2, 1, [0])
+    assert set(report["arms"]) == set(script.ARMS)
+    for variant in script.ARMS:
+        assert set(report["arms"][variant]) == {"per_seed", "mean"}
+        assert set(report["arms"][variant]["per_seed"]) == {"0"}
+        with open(tmp_path / variant / "seed_0" / "metrics.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
