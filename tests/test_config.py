@@ -44,11 +44,17 @@ def test_training_defaults():
 
 
 def test_experiment_round_trip(tmp_path):
+    cfg = ExperimentConfig(seeds=[7, 8])
     path = tmp_path / "exp.json"
-    for cfg in (ExperimentConfig(seeds=[7, 8]),
-                ExperimentConfig(scenario=ScenarioConfig(n_cav=2, idm=IdmParams(a_max=2.5)))):
-        write_json(path, dataclasses.asdict(cfg))
-        assert load_experiment_config(path) == cfg
+    write_json(path, dataclasses.asdict(cfg))
+    assert load_experiment_config(path) == cfg
+
+
+def test_scenario_round_trip(tmp_path):
+    cfg = ScenarioConfig(n_cav=2, idm=IdmParams(a_max=2.5))
+    path = tmp_path / "exp.json"
+    write_json(path, {"scenario": dataclasses.asdict(cfg)})
+    assert load_experiment_config(path).scenario == cfg
 
 
 def test_unknown_key_rejected(tmp_path):
