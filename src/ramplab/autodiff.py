@@ -105,15 +105,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, "add", (a, b), vjp)
 
 
-def add_bias(a: Tensor, bias: Tensor) -> Tensor:
-    """Row-broadcast add of a (1, k) bias."""
-    if bias.data.shape != (1, a.data.shape[1]):
-        raise ValueError(f"bias shape {bias.data.shape} does not fit {a.data.shape}")
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w`` plus a row-broadcast (1, k) bias, as one node: the bias is
+    added in place, so no second (rows, k) array is made."""
+    if b.data.shape != (1, w.data.shape[1]):
+        raise ValueError(f"bias shape {b.data.shape} does not fit {w.data.shape}")
+    y = x.data @ w.data
+    y += b.data
 
     def vjp(g):
-        return g, g.sum(axis=0, keepdims=True)
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            g.sum(axis=0, keepdims=True) if b.requires_grad else None,
+        )
 
-    return _node(a.data + bias.data, "add_bias", (a, bias), vjp)
+    return _node(y, "dense", (x, w, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -37,8 +37,8 @@ import numpy as np
 from ramplab.autodiff import (
     Tensor,
     add,
-    add_bias,
     concat_cols,
+    dense,
     layer_norm_rows,
     matmul,
     no_grad,
@@ -144,11 +144,6 @@ class TransformerParams:
     blocks: list[BlockParams]
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = matmul(x, w)
-    return y if b is None else add_bias(y, b)
-
-
 def multi_head_attention(
     x: Tensor,
     wq: Tensor,
@@ -179,14 +174,14 @@ def transformer_encode(
     """Embed grid rows and run the blocks: attention, a single residual, then
     a layer-normalised MLP; the last block's output is the encoding, of
     every row or of ``rows`` only, which every row still attends to."""
-    x = linear(sr, params.embed_w, params.embed_b)
+    x = dense(sr, params.embed_w, params.embed_b)
     last = params.blocks[-1]
     for blk in params.blocks:
         keep = rows if blk is last else None
         attended = multi_head_attention(x, blk.wq, blk.wk, blk.wv, blk.wo, n_heads, n_scenes,
                                         keep)
         h = add(attended, x if keep is None else select_rows(x, keep))
-        m = linear(relu(linear(h, blk.mlp_w1, blk.mlp_b1)), blk.mlp_w2, blk.mlp_b2)
+        m = dense(relu(dense(h, blk.mlp_w1, blk.mlp_b1)), blk.mlp_w2, blk.mlp_b2)
         x = layer_norm_rows(m, blk.ln_g, blk.ln_b)
     return x
 
@@ -238,7 +233,7 @@ def q_head(
     """Per-CAV action values from the scene encoding, optionally joined with
     the graph encoding's row for the same CAV."""
     fused = x_l if h_graph is None else concat_cols([x_l, h_graph])
-    return linear(relu(linear(fused, w1, b1)), w2, b2)
+    return dense(relu(dense(fused, w1, b1)), w2, b2)
 
 
 def flat_rows(stacked: np.ndarray, dtype) -> Tensor:

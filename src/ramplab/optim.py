@@ -1,6 +1,8 @@
 """Adam with bias correction, plus global gradient-norm clipping.
 
-Both update in place: a step allocates no array the size of a parameter."""
+Both update in place: a step allocates no array the size of a parameter.
+``Adam.m`` and ``Adam.v`` hold the moments pre-divided by (1 - beta1) and
+(1 - beta2); see :class:`Adam`."""
 from __future__ import annotations
 
 import math
@@ -20,12 +22,16 @@ def clip_global_grad_norm(store: ParamStore, max_norm: float) -> float:
     they are.  For float32 gradients the norm is finite exactly when every
     gradient entry is, so it doubles as the finite-gradient check."""
     total = 0.0
-    for _, tensor in store.items():
-        if tensor.grad is not None:
-            # float64 accumulation without a float64 copy: float32 squares
-            # overflow for entries above ~1.8e19, their float64 sum never does
-            g = tensor.grad.reshape(-1)
-            total += float(np.einsum("i,i->", g, g, dtype=np.float64))
+    # a float32 dot overflows for entries above ~1.8e19 (or meets NaN/inf);
+    # only then is the sum redone in float64, which never overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, tensor in store.items():
+            if tensor.grad is not None:
+                g = tensor.grad.reshape(-1)
+                sq = float(np.dot(g, g))
+                if not math.isfinite(sq):
+                    sq = float(np.einsum("i,i->", g, g, dtype=np.float64))
+                total += sq
     norm = math.sqrt(total)
     if math.isfinite(norm) and norm > max_norm:
         factor = max_norm / norm
@@ -38,6 +44,15 @@ def clip_global_grad_norm(store: ParamStore, max_norm: float) -> float:
 
 class Adam:
     """Standard Adam over a parameter store, with moments in the store's dtype.
+
+    ``m`` and ``v`` hold M = m / (1 - beta1) and V = v / (1 - beta2), the
+    textbook moments pre-divided, so a step is ``M = beta1 M + g``,
+    ``V = beta2 V + g^2`` and ``p -= lr' M / (sqrt(V) + eps')``, with
+    (1 - beta1), (1 - beta2) and both bias corrections folded into the
+    scalars lr' and eps' (Kingma & Ba, section 2).  A resume state saves
+    them as stored.  In float32, V overflows for |g| above about 5.8e17
+    (g^2 / (1 - beta2) > 3.4e38), against about 1.8e19 for the textbook v;
+    the trainer clips the gradient norm to 10 first, so neither is reached.
 
     ``step`` consumes the gradients (slots are cleared afterwards); parameters
     with no gradient are left untouched and their moments do not advance.
@@ -53,25 +68,23 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        # the bias corrections fold into two scalars (Kingma & Ba, section 2)
-        sqrt_bc2 = math.sqrt(1.0 - BETA2 ** self.t)
-        step_size = self.lr / (1.0 - BETA1 ** self.t)
+        # lr (m / bc1) / (sqrt(v / bc2) + eps) with m = (1 - b1) M and
+        # v = (1 - b2) V is step_size M / (sqrt(V) + eps_v)
+        root = math.sqrt((1.0 - BETA2) / (1.0 - BETA2 ** self.t))
+        step_size = self.lr * (1.0 - BETA1) / ((1.0 - BETA1 ** self.t) * root)
+        eps_v = EPS / root
         for name, tensor in self.store.items():
             g = tensor.grad
             if g is None:
                 continue
             m, v, a = self.m[name], self.v[name], self._scratch[name]
             m *= BETA1
-            np.multiply(g, 1.0 - BETA1, out=a)
-            m += a
+            m += g
             v *= BETA2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - BETA2
+            np.square(g, out=a)
             v += a
-            # lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.sqrt(v, out=a)
-            a /= sqrt_bc2
-            a += EPS
+            a += eps_v
             np.divide(m, a, out=a)
             a *= step_size
             tensor.data -= a

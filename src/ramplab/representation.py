@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ramplab.config import ScenarioConfig
-from ramplab.simulation import KIND_CODE, VehicleKind, WorldState, lane_index
+from ramplab.simulation import KIND_CODE, WorldState, lane_index
 
 CELL_M = 2.0
 GRID_RADIUS_M = 50.0

@@ -113,12 +113,42 @@ def test_add_sub_mul_scale_grads():
     check_op(lambda: ad.sum_all(ad.mul(ad.scale(c, -2.5), c)), c)
 
 
-def test_add_bias_broadcasts_rowwise():
-    x, bias = leaf((4, 3)), leaf((1, 3))
-    out = ad.add_bias(x, bias)
-    np.testing.assert_allclose(out.data, x.data + bias.data)
-    check_op(lambda: ad.sum_all(ad.mul(ad.add_bias(x, bias), ad.add_bias(x, bias))),
-             x, bias)
+def matmul_then_bias(x, w, b):
+    """The two-node chain that ``dense`` fuses: a matmul, then a new array
+    with the bias row added."""
+    y = ad.matmul(x, w)
+
+    def vjp(g):
+        return g, g.sum(axis=0, keepdims=True)
+
+    return ad._node(y.data + b.data, "add_bias", (y, b), vjp)
+
+
+def test_dense_grads():
+    x, w, b = leaf((4, 3)), leaf((3, 2)), leaf((1, 2))
+    np.testing.assert_allclose(ad.dense(x, w, b).data, x.data @ w.data + b.data)
+    check_op(lambda: ad.sum_all(ad.mul(ad.dense(x, w, b), ad.dense(x, w, b))), x, w, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_is_byte_identical_to_matmul_then_bias(dtype):
+    rng = np.random.default_rng(3)
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in ((37, 19), (19, 23), (1, 23))]
+    probe = ad.Tensor(rng.normal(size=(37, 23)).astype(dtype))
+    results = []
+    for op in (ad.dense, matmul_then_bias):
+        x, w, b = (ad.Tensor(arr.copy(), requires_grad=True) for arr in arrays)
+        y = op(x, w, b)
+        ad.backward(ad.sum_all(ad.mul(y, probe)))
+        results.append([t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)])
+    assert results[0] == results[1]
+
+
+def test_dense_is_one_tape_node():
+    x, w, b = leaf((2, 3)), leaf((3, 4)), leaf((1, 4))
+    assert [n.op for n in ad.graph_nodes(ad.dense(x, w, b))] == ["leaf", "leaf", "leaf", "dense"]
+    with pytest.raises(ValueError):
+        ad.dense(x, w, leaf((1, 3)))
 
 
 def test_relu_grads_away_from_kink():

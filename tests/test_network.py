@@ -6,14 +6,13 @@ import pytest
 
 from _helpers import random_rollout, small_experiment, tiny_network
 from ramplab.autodiff import Tensor, backward, graph_nodes, mul, no_grad, sum_all
-from ramplab.config import MODEL_VARIANTS, NetworkConfig
+from ramplab.config import MODEL_VARIANTS
 from ramplab.network import (
     CheckpointError,
     TrainingError,
     build_network,
     gcn_forward,
     gcn_normalize,
-    linear,
     load_checkpoint,
     multi_head_attention,
     network_from_checkpoint,

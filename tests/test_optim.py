@@ -1,11 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from ramplab.config import ExperimentConfig
 from ramplab.network import ParamStore, build_network
-from ramplab.optim import Adam, clip_global_grad_norm
+from ramplab.optim import BETA1, BETA2, EPS, Adam, clip_global_grad_norm
 
 
 def store_with(**arrays):
@@ -87,6 +88,41 @@ def test_descends_a_quadratic():
     assert abs(store.params["p"].data[0, 0]) < 1e-2
 
 
+def test_matches_textbook_adam_over_300_steps():
+    """Standard m, v and bias corrections (Kingma & Ba, Algorithm 1); ``b``
+    misses its gradient on every third step."""
+    rng = np.random.default_rng(21)
+    init = {"w": rng.standard_normal((6, 5)), "b": rng.standard_normal((1, 5))}
+    store = store_with(**init)
+    opt = Adam(store, lr=1e-2)
+    ref = {name: arr.copy() for name, arr in init.items()}
+    m = {name: np.zeros_like(arr) for name, arr in init.items()}
+    v = {name: np.zeros_like(arr) for name, arr in init.items()}
+    for t in range(1, 301):
+        grads = {name: rng.standard_normal(arr.shape) for name, arr in init.items()}
+        if t % 3 == 0:
+            del grads["b"]
+        for name, g in grads.items():
+            m[name] = BETA1 * m[name] + (1 - BETA1) * g
+            v[name] = BETA2 * v[name] + (1 - BETA2) * g * g
+            m_hat = m[name] / (1 - BETA1 ** t)
+            v_hat = v[name] / (1 - BETA2 ** t)
+            ref[name] = ref[name] - 1e-2 * m_hat / (np.sqrt(v_hat) + EPS)
+        before = [store.params["b"].data.copy(), opt.m["b"].copy(), opt.v["b"].copy()]
+        set_grads(store, **grads)
+        opt.step()
+        if "b" not in grads:
+            after = [store.params["b"].data, opt.m["b"], opt.v["b"]]
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
+        for name in init:
+            # the stored moments are the textbook ones pre-divided
+            for got, want in ((store.params[name].data, ref[name]),
+                              (opt.m[name], m[name] / (1 - BETA1)),
+                              (opt.v[name], v[name] / (1 - BETA2))):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (t, name)
+    assert opt.t == 300
+
+
 def test_clip_scales_to_max_norm_and_reports_preclip():
     store = store_with(a=[[3.0]], b=[[4.0]])
     set_grads(store, a=[[3.0]], b=[[4.0]])
@@ -114,13 +150,16 @@ def test_clip_skips_missing_gradients():
 
 
 def test_clip_norm_of_huge_gradients_is_finite_and_exact():
-    # squares of ~1e20 overflow float32, so the reduction must run in float64
+    # squares of ~1e20 overflow float32, so the reduction must run in float64,
+    # and the overflow must not surface as a warning
     store = ParamStore(dtype=np.float32)
     store.add("a", np.zeros((1, 2)))
     store.add("b", np.zeros((1, 1)))
     store.params["a"].grad = np.array([[3e20, 0.0]], dtype=np.float32)
     store.params["b"].grad = np.array([[4e20]], dtype=np.float32)
-    norm = clip_global_grad_norm(store, max_norm=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = clip_global_grad_norm(store, max_norm=1.0)
     assert norm == pytest.approx(5e20, rel=1e-6)
     assert store.params["a"].grad[0, 0] == pytest.approx(0.6, rel=1e-6)
     assert store.params["b"].grad[0, 0] == pytest.approx(0.8, rel=1e-6)
@@ -133,7 +172,9 @@ def test_clip_returns_non_finite_norm_and_leaves_gradients_unscaled(bad):
     store.add("b", np.zeros((1, 1)))
     store.params["a"].grad = np.array([[bad, 30.0]], dtype=np.float32)
     store.params["b"].grad = np.array([[40.0]], dtype=np.float32)
-    norm = clip_global_grad_norm(store, max_norm=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = clip_global_grad_norm(store, max_norm=1.0)
     assert not np.isfinite(norm)
     np.testing.assert_array_equal(store.params["a"].grad, [[bad, 30.0]])
     np.testing.assert_array_equal(store.params["b"].grad, [[40.0]])
@@ -142,6 +183,14 @@ def test_clip_returns_non_finite_norm_and_leaves_gradients_unscaled(bad):
 def unit_normal_grads(store, rng):
     for _, tensor in store.items():
         tensor.grad = rng.standard_normal(tensor.data.shape).astype(store.dtype)
+
+
+def test_float32_clip_norm_tracks_a_float64_reference():
+    store = build_network(ExperimentConfig(), seed=0).store
+    assert store.dtype == np.float32
+    unit_normal_grads(store, np.random.default_rng(4))
+    want = np.sqrt(sum(np.sum(t.grad.astype(np.float64) ** 2) for _, t in store.items()))
+    assert clip_global_grad_norm(store, np.inf) == pytest.approx(want, rel=1e-6)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

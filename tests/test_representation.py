@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_rollout, scenario, vehicle, world_of
+from _helpers import random_rollout, vehicle, world_of
 from ramplab.config import ScenarioConfig
 from ramplab.representation import (
     AGENT_GRID_CENTER,

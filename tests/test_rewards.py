@@ -1,11 +1,10 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import random_rollout, vehicle, world_of
 from ramplab.config import RewardWeights, ScenarioConfig
-from ramplab.rewards import APPROACH_ZONE_M, compute_reward
+from ramplab.rewards import compute_reward
 from ramplab.simulation import Outcome, StepEvents, VehicleKind
 
 CFG = ScenarioConfig()

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import math
 
