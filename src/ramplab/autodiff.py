@@ -7,7 +7,8 @@ the Q head need is implemented, and every tensor stays dense 2-D, which
 keeps each rule a few lines of numpy.  A batch of B scenes is B equal row
 blocks stacked scene-major; :func:`scene_attention` and :func:`scene_matmul`
 view those blocks as a leading batch axis internally, so scenes never mix;
-:func:`scene_matmul`'s mixer may return fewer rows per scene than it reads.
+:func:`scene_matmul`'s mixer may return fewer rows per scene than it reads,
+and :func:`scene_attention` may take a key mask and the masked-in rows only.
 
 Gradient recording can be suspended with ``with no_grad(): ...`` for target
 computations and finite-difference probes.
@@ -161,11 +162,11 @@ def relu(a: Tensor) -> Tensor:
 
 def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardisation followed by an affine map with (1, k) params."""
-    # sum / k is what ndarray.mean computes, without its Python wrapper
+    # sum / k is what ndarray.mean computes, without its Python wrappers
     k = a.data.shape[1]
-    mu = a.data.sum(axis=1, keepdims=True) / k
+    mu = np.add.reduce(a.data, axis=1, keepdims=True) / k
     centred = a.data - mu
-    std = np.sqrt((centred * centred).sum(axis=1, keepdims=True) / k + eps)
+    std = np.sqrt(np.add.reduce(centred * centred, axis=1, keepdims=True) / k + eps)
     y = centred / std
 
     def vjp(g):
@@ -177,34 +178,71 @@ def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     return _node(y * gain.data + bias.data, "layer_norm", (a, gain, bias), vjp)
 
 
-def scene_attention(q: Tensor, k: Tensor, v: Tensor, n_scenes: int, n_heads: int) -> Tensor:
+def _reduce_keys(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over the last axis, kept as a length-1 axis.  On a
+    batch, that is m-1 elementwise calls over the m key columns, about half
+    the cost of an axis reduction; on a single scene the one reduction call
+    is cheaper.  For fewer than 8 keys both give the same bytes, as both add
+    left to right."""
+    if a.size < 512 or a.shape[-1] < 2:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = ufunc(a[..., 0], a[..., 1])
+    for j in range(2, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
+    return out[..., None]
+
+
+def scene_attention(q: Tensor, k: Tensor, v: Tensor, n_scenes: int, n_heads: int,
+                    alive: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention within each scene, all heads at once.
 
     ``q``, ``k`` and ``v`` are (B*m, d) with the B scenes' m rows stacked
     scene-major and head i in columns i*d/h to (i+1)*d/h; rows attend only to
     rows of their own scene.  The output has the same layout.
+
+    ``alive``, a (B, m) boolean key mask, marks the active tokens: a token
+    then attends to the active tokens of its scene and to itself, and an
+    inactive one to itself only.  The rows may then be the active tokens
+    only, one per true entry of ``alive`` in row-major order; they are
+    zero-padded to the B blocks of m inside, so only the scores are padded.
     """
     rows, d = q.data.shape
-    if d % n_heads or rows % n_scenes:
+    packed = alive is not None and rows != alive.size
+    if alive is None:
+        m, fits = rows // n_scenes, rows % n_scenes == 0
+    else:
+        m = alive.shape[1]
+        fits = alive.shape[0] == n_scenes and (not packed or np.count_nonzero(alive) == rows)
+    if d % n_heads or not fits:
         raise ValueError(f"{rows}x{d} does not split into {n_scenes} scenes x {n_heads} heads")
-    m, d_head = rows // n_scenes, d // n_heads
+    d_head = d // n_heads
     c = 1.0 / math.sqrt(d_head)  # a Python float keeps float32 scores float32
+    slots = np.flatnonzero(alive) if packed else None
 
     def heads(arr):  # (B*m, d) -> (B, h, m, d/h)
+        if packed:
+            padded = np.zeros((alive.size, d), dtype=arr.dtype)
+            padded[slots] = arr
+            arr = padded
         return arr.reshape(n_scenes, m, n_heads, d_head).transpose(0, 2, 1, 3)
 
     def merge(arr):  # (B, h, m, d/h) -> (B*m, d)
-        return arr.transpose(0, 2, 1, 3).reshape(rows, d)
+        arr = arr.transpose(0, 2, 1, 3).reshape(n_scenes * m, d)
+        return arr[slots] if packed else arr
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    if alive is not None:
+        seen = alive[:, :, None] & alive[:, None, :]
+        seen.reshape(n_scenes, -1)[:, ::m + 1] = True   # and itself
+        np.copyto(scores, -np.inf, where=~seen[:, None])
+    e = np.exp(scores - _reduce_keys(np.maximum, scores))
+    p = e / _reduce_keys(np.add, e)
 
     def vjp(g):
         gh = heads(g)
         dp = gh @ vh.transpose(0, 1, 3, 2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        ds = p * (dp - _reduce_keys(np.add, dp * p)) * c
         dq, dk = ds @ kh, ds.transpose(0, 1, 3, 2) @ qh
         return merge(dq), merge(dk), merge(p.transpose(0, 1, 3, 2) @ gh)
 
@@ -212,13 +250,11 @@ def scene_attention(q: Tensor, k: Tensor, v: Tensor, n_scenes: int, n_heads: int
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    widths = [t.data.shape[1] for t in tensors]
-    splits = np.cumsum(widths)[:-1]
-
     def vjp(g):
-        return tuple(np.hsplit(g, splits))
+        return tuple(np.hsplit(g, np.cumsum([t.data.shape[1] for t in tensors[:-1]])))
 
-    return _node(np.hstack([t.data for t in tensors]), "concat", tuple(tensors), vjp)
+    return _node(np.concatenate([t.data for t in tensors], axis=1), "concat", tuple(tensors),
+                 vjp)
 
 
 def _scatter(like: np.ndarray, index: tuple, g: np.ndarray) -> np.ndarray:
@@ -300,17 +336,29 @@ def backward(loss: Tensor) -> None:
         raise ValueError("loss does not require grad (built under no_grad?)")
     order = graph_nodes(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # Arrays one VJP handed to two parents, such as add's (g, g), kept alive
+    # so that their ids stay theirs.  A leaf keeps the array it is given
+    # unless that is one of these or a view of one (concat's split): the
+    # clip scales leaf gradients in place.
+    shared: dict[int, np.ndarray] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
+            if node.grad is not None:
+                node.grad = node.grad + g
             else:
-                grads[id(parent)] = pg
+                node.grad = g.copy() if id(g) in shared or id(g.base) in shared else g
+            continue
+        pgs = node._vjp(g)
+        for i, pg in enumerate(pgs):
+            if pg is None or not node._parents[i].requires_grad:
+                continue
+            if any(pg is other for other in pgs[i + 1:]):
+                shared[id(pg)] = pg
+            key = id(node._parents[i])
+            if key in grads:
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg

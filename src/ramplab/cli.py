@@ -21,7 +21,7 @@ from ramplab.config import (
     load_experiment_config,
 )
 from ramplab.network import CheckpointError, QNetwork, network_from_checkpoint, save_checkpoint
-from ramplab.representation import grid_width
+from ramplab.representation import feature_width, grid_width
 from ramplab.runs import (
     MetricsWriter,
     summarize_final_window,
@@ -77,6 +77,8 @@ def _check_net_matches(net: QNetwork, cfg: ExperimentConfig) -> None:
         problems.append(f"representation {net.representation!r} vs config {cfg.representation!r}")
     if net.input_width != expected_width:
         problems.append(f"grid width {net.input_width} vs config {expected_width}")
+    if net.feat_width != feature_width(cfg.scenario):
+        problems.append(f"feature width {net.feat_width} vs config {feature_width(cfg.scenario)}")
     if problems:
         raise CheckpointError("checkpoint does not fit config: " + "; ".join(problems))
 

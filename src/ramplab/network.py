@@ -13,18 +13,22 @@ Forwards take a :class:`~ramplab.representation.StateBatch` and run it as
 one graph.  Grid rows from all scenes form one scene-major token matrix for
 the dense layers; attention (``scene_attention``) and graph mixing
 (``scene_matmul`` with the (B, n, n) normalised adjacency) run per scene on
-a batch axis, so cross-scene mixing is structurally impossible.  A forward
-may be asked for a subset of the CAV rows: every CAV still attends and is
-attended to in every block, but the layers that act row by row after the
-last attention (and the graph encoder's last projection) run only on the
-rows asked for.  Each variant names the optional snapshot fields its forward
-reads (``reads``), and :meth:`QNetwork.observe` builds only those.
+a batch axis, so cross-scene mixing is structurally impossible.  Inactive
+CAVs (exited or collided) leave the transformer: a key mask keeps them out
+of every active CAV's attention, and an inactive CAV attends to itself only,
+so all of them share one Q row.  A forward may be asked for a subset of the
+CAV rows; if those are all active, only the active CAVs are tokens, and the
+layers that act row by row after the last attention (and the graph
+encoder's last projection) run only on the rows asked for.  Each variant
+names the optional snapshot fields its forward reads (``reads``), and
+:meth:`QNetwork.observe` builds only those.
 
 Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
 plus a little-endian float32 blob and round-trip bit-exactly.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import shutil
@@ -123,6 +127,17 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _initial(rng: np.random.Generator, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """Biases (``b``, ``b1``, ...) start at zero, LayerNorm gains (``g``) at
+    one, weights Glorot-uniform."""
+    kind = name.rpartition(".")[2]
+    if kind == "g":
+        return np.ones(shape)
+    if kind.startswith("b"):
+        return np.zeros(shape)
+    return _glorot(rng, *shape)
+
+
 @dataclass
 class BlockParams:
     wq: Tensor
@@ -144,6 +159,26 @@ class TransformerParams:
     blocks: list[BlockParams]
 
 
+def _block_param(field: str) -> str:   # BlockParams.mlp_w1 is "block<i>.mlp.w1"
+    return field.replace("_", ".")
+
+
+def transformer_shapes(cfg: NetworkConfig, input_width: int) -> list[tuple[str, tuple]]:
+    d, hidden = cfg.d_model, cfg.mlp_hidden
+    block = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+             "mlp_w1": (d, hidden), "mlp_b1": (1, hidden), "mlp_w2": (hidden, d),
+             "mlp_b2": (1, d), "ln_g": (1, d), "ln_b": (1, d)}
+    return [("embed.w", (input_width, d)), ("embed.b", (1, d))] + [
+        (f"block{i}.{_block_param(f.name)}", block[f.name])
+        for i in range(cfg.n_blocks) for f in dataclasses.fields(BlockParams)
+    ]
+
+
+def qhead_shapes(cfg: NetworkConfig, in_width: int) -> list[tuple[str, tuple]]:
+    return [("qhead.w1", (in_width, cfg.q_hidden)), ("qhead.b1", (1, cfg.q_hidden)),
+            ("qhead.w2", (cfg.q_hidden, N_ACTIONS)), ("qhead.b2", (1, N_ACTIONS))]
+
+
 def multi_head_attention(
     x: Tensor,
     wq: Tensor,
@@ -153,12 +188,15 @@ def multi_head_attention(
     n_heads: int,
     n_scenes: int = 1,
     rows: np.ndarray | None = None,
+    alive: np.ndarray | None = None,
 ) -> Tensor:
     """Scaled dot-product attention with heads as column blocks of one
     projection, mixed by ``wo``; ``x`` holds ``n_scenes`` equal row blocks
-    that attend only within themselves.  Every row attends; with ``rows``,
+    that attend only within themselves, under the (B, m) key mask ``alive``
+    if given (see ``scene_attention``).  Every row attends; with ``rows``,
     only those output rows are mixed by ``wo`` and returned."""
-    attended = scene_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), n_scenes, n_heads)
+    attended = scene_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), n_scenes, n_heads,
+                               alive)
     if rows is not None:
         attended = select_rows(attended, rows)
     return matmul(attended, wo)
@@ -170,28 +208,51 @@ def transformer_encode(
     n_heads: int,
     n_scenes: int = 1,
     rows: np.ndarray | None = None,
+    alive: np.ndarray | None = None,
 ) -> Tensor:
     """Embed grid rows and run the blocks: attention, a single residual, then
     a layer-normalised MLP; the last block's output is the encoding, of
-    every row or of ``rows`` only, which every row still attends to."""
+    every row or of ``rows`` only, which every row still attends to.  With
+    the key mask ``alive`` (see ``scene_attention``), ``sr`` may hold the
+    active tokens only."""
     x = dense(sr, params.embed_w, params.embed_b)
     last = params.blocks[-1]
     for blk in params.blocks:
         keep = rows if blk is last else None
         attended = multi_head_attention(x, blk.wq, blk.wk, blk.wv, blk.wo, n_heads, n_scenes,
-                                        keep)
+                                        keep, alive)
         h = add(attended, x if keep is None else select_rows(x, keep))
         m = dense(relu(dense(h, blk.mlp_w1, blk.mlp_b1)), blk.mlp_w2, blk.mlp_b2)
         x = layer_norm_rows(m, blk.ln_g, blk.ln_b)
     return x
 
 
+def active_tokens(states: StateBatch, rows: np.ndarray | None = None):
+    """The transformer's tokens once inactive CAVs leave it, as the
+    scene-major CAV rows that are tokens and the token of each CAV row asked
+    for (``rows``, default all); None stands for every row and for the
+    tokens in order.
+
+    An inactive CAV attends to itself only and is attended to by none, so
+    when only active rows are asked for, only the active CAVs are tokens;
+    otherwise every CAV is, and each inactive one gets the same row."""
+    alive = states.alive.reshape(-1)
+    if rows is None or not alive[rows].all():
+        return None, rows
+    tokens = np.flatnonzero(alive)
+    if rows.size == tokens.size and np.array_equal(rows, tokens):
+        return tokens, None
+    return tokens, (np.cumsum(alive) - 1)[rows]
+
+
 def gcn_normalize(adjacency: np.ndarray) -> np.ndarray:
     """Symmetrically normalised adjacency with guaranteed self-loops, over
     the last two axes, so a (B, n, n) stack is normalised per scene."""
     n = adjacency.shape[-1]
-    a_tilde = np.minimum(adjacency + np.eye(n, dtype=adjacency.dtype), 1.0)
-    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=-1))
+    a_tilde = np.minimum(adjacency, 1.0)   # a fresh array; 0/1 entries stay
+    diagonal = np.arange(n)
+    a_tilde[..., diagonal, diagonal] = 1.0
+    d_inv_sqrt = 1.0 / np.sqrt(np.add.reduce(a_tilde, axis=-1))
     return a_tilde * d_inv_sqrt[..., :, None] * d_inv_sqrt[..., None, :]
 
 
@@ -263,9 +324,24 @@ class QNetwork:
         self.feat_width = feat_width
         self.seed = seed
         self.store = ParamStore(dtype)
-        self._build(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for name, shape in self.param_shapes(net_cfg, input_width, feat_width):
+            self.store.add(name, _initial(rng, name, shape))
+        params = self.store.params
+        self.q_w1, self.q_b1, self.q_w2, self.q_b2 = (
+            params[name] for name in ("qhead.w1", "qhead.b1", "qhead.w2", "qhead.b2"))
+        self.gcn_weights = [t for name, t in params.items() if name.startswith("gcn.")]
+        if "embed.w" in params:
+            self.transformer = TransformerParams(params["embed.w"], params["embed.b"], [
+                BlockParams(**{f.name: params[f"block{i}.{_block_param(f.name)}"]
+                               for f in dataclasses.fields(BlockParams)})
+                for i in range(net_cfg.n_blocks)
+            ])
 
-    def _build(self, rng: np.random.Generator) -> None:  # pragma: no cover
+    @classmethod
+    def param_shapes(cls, net_cfg: NetworkConfig, input_width: int,
+                     feat_width: int) -> list[tuple[str, tuple]]:  # pragma: no cover
+        """Every parameter's name and shape, in initialisation order."""
         raise NotImplementedError
 
     # -- forward ---------------------------------------------------------
@@ -299,40 +375,19 @@ class QNetwork:
 
     # -- shared pieces ---------------------------------------------------
 
-    def _init_qhead(self, rng: np.random.Generator, in_width: int) -> None:
-        cfg = self.net_cfg
-        self.q_w1 = self.store.add("qhead.w1", _glorot(rng, in_width, cfg.q_hidden))
-        self.q_b1 = self.store.add("qhead.b1", np.zeros((1, cfg.q_hidden)))
-        self.q_w2 = self.store.add("qhead.w2", _glorot(rng, cfg.q_hidden, N_ACTIONS))
-        self.q_b2 = self.store.add("qhead.b2", np.zeros((1, N_ACTIONS)))
-
-    def _init_transformer(self, rng: np.random.Generator) -> None:
-        cfg = self.net_cfg
-        d = cfg.d_model
-        embed_w = self.store.add("embed.w", _glorot(rng, self.input_width, d))
-        embed_b = self.store.add("embed.b", np.zeros((1, d)))
-        blocks = []
-        for i in range(cfg.n_blocks):
-            p = f"block{i}."
-            blocks.append(BlockParams(
-                wq=self.store.add(p + "wq", _glorot(rng, d, d)),
-                wk=self.store.add(p + "wk", _glorot(rng, d, d)),
-                wv=self.store.add(p + "wv", _glorot(rng, d, d)),
-                wo=self.store.add(p + "wo", _glorot(rng, d, d)),
-                mlp_w1=self.store.add(p + "mlp.w1", _glorot(rng, d, cfg.mlp_hidden)),
-                mlp_b1=self.store.add(p + "mlp.b1", np.zeros((1, cfg.mlp_hidden))),
-                mlp_w2=self.store.add(p + "mlp.w2", _glorot(rng, cfg.mlp_hidden, d)),
-                mlp_b2=self.store.add(p + "mlp.b2", np.zeros((1, d))),
-                ln_g=self.store.add(p + "ln.g", np.ones((1, d))),
-                ln_b=self.store.add(p + "ln.b", np.zeros((1, d))),
-            ))
-        self.transformer = TransformerParams(embed_w, embed_b, blocks)
+    def _encode(self, states: StateBatch, rows: np.ndarray | None) -> Tensor:
+        """Transformer encodings of the CAV rows ``rows`` (default all), with
+        inactive CAVs masked out of every other token's attention and, when
+        ``rows`` are all active, out of the transformer."""
+        tokens, out = active_tokens(states, rows)
+        alive = None if states.alive.all() else states.alive
+        return transformer_encode(flat_rows(grid_rows(states, tokens), self.store.dtype),
+                                  self.transformer, self.net_cfg.n_heads, len(states.alive),
+                                  out, alive)
 
     # -- persistence -----------------------------------------------------
 
     def meta(self) -> dict:
-        import dataclasses
-
         return {
             "variant": self.variant,
             "representation": self.representation,
@@ -353,22 +408,18 @@ class QNetwork:
 class GitsrNetwork(QNetwork):
     variant = "gitsr"
 
-    def _build(self, rng: np.random.Generator) -> None:
-        cfg = self.net_cfg
-        self._init_transformer(rng)
-        dims = cfg.gcn_dims(self.feat_width)
-        self.gcn_weights = [
-            self.store.add(f"gcn.l{i}.w", _glorot(rng, dims[i], dims[i + 1]))
-            for i in range(len(dims) - 1)
-        ]
-        self._init_qhead(rng, 2 * cfg.d_model)
+    @classmethod
+    def param_shapes(cls, net_cfg, input_width, feat_width):
+        dims = net_cfg.gcn_dims(feat_width)
+        return (transformer_shapes(net_cfg, input_width)
+                + [(f"gcn.l{i}.w", (dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
+                + qhead_shapes(net_cfg, 2 * net_cfg.d_model))
 
     reads = ("features", "adjacency")
 
     def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
         dtype = self.store.dtype
-        x = transformer_encode(flat_rows(grid_rows(states), dtype), self.transformer,
-                               self.net_cfg.n_heads, len(states.sr), rows)
+        x = self._encode(states, rows)
         e_norm = gcn_normalize(states.adjacency.astype(dtype))
         h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights,
                         states.cav_ids, rows)
@@ -378,15 +429,14 @@ class GitsrNetwork(QNetwork):
 class TransformerOnlyNetwork(QNetwork):
     variant = "madqn_transformer"
 
-    def _build(self, rng: np.random.Generator) -> None:
-        self._init_transformer(rng)
-        self._init_qhead(rng, self.net_cfg.d_model)
+    @classmethod
+    def param_shapes(cls, net_cfg, input_width, feat_width):
+        return transformer_shapes(net_cfg, input_width) + qhead_shapes(net_cfg, net_cfg.d_model)
 
     reads = ()
 
     def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
-        x = transformer_encode(flat_rows(grid_rows(states), self.store.dtype), self.transformer,
-                               self.net_cfg.n_heads, len(states.sr), rows)
+        x = self._encode(states, rows)
         return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
@@ -396,8 +446,9 @@ class BaselineNetwork(QNetwork):
 
     variant = "madqn"
 
-    def _build(self, rng: np.random.Generator) -> None:
-        self._init_qhead(rng, self.feat_width + self.input_width)
+    @classmethod
+    def param_shapes(cls, net_cfg, input_width, feat_width):
+        return qhead_shapes(net_cfg, feat_width + input_width)
 
     reads = ("features",)
 
@@ -497,19 +548,32 @@ def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]
                 raise CheckpointError(f"checkpoint blob truncated at parameter {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(blob[start:stop], dtype=dtype).reshape(shape)
         return manifest["meta"], arrays
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest: {type(exc).__name__}: {exc}") from exc
 
 
 def network_from_checkpoint(directory: str | Path) -> QNetwork:
-    """Rebuild the saved architecture in float32 and restore its parameters."""
+    """Rebuild the saved architecture in float32 and restore its parameters.
+    The metadata must describe the stored parameters' names and shapes
+    before anything is built from it."""
     meta, arrays = load_checkpoint(directory)
     try:
         cls = _VARIANTS[meta["variant"]]
         net_cfg = NetworkConfig(**meta["network"])
-        net = cls(net_cfg, meta["representation"], meta["input_width"],
-                  meta["feature_width"], seed=0)
-    except (KeyError, TypeError) as exc:
+        net_cfg.validate()
+        widths = meta["input_width"], meta["feature_width"]
+        if max(net_cfg.n_blocks, net_cfg.gcn_layers) > len(arrays):
+            raise ValueError(f"{len(arrays)} parameters cannot hold {net_cfg.n_blocks} blocks "
+                             f"and {net_cfg.gcn_layers} graph layers")
+        wanted = dict(cls.param_shapes(net_cfg, *widths))
+        stored = {name: arr.shape for name, arr in arrays.items()}
+        if wanted != stored:
+            name = next(n for n in sorted(wanted.keys() | stored.keys())
+                        if wanted.get(n) != stored.get(n))
+            raise CheckpointError(f"checkpoint metadata does not fit its parameters: {name!r} "
+                                  f"is {stored.get(name)} stored, {wanted.get(name)} by meta")
+        net = cls(net_cfg, meta["representation"], *widths, seed=0)
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"unusable checkpoint metadata: {exc}") from exc
     net.store.load_arrays(arrays)
     return net

@@ -48,20 +48,30 @@ def epsilon(step_count: int, cfg: EpsilonConfig) -> float:
     return cfg.start + (cfg.end - cfg.start) * (step_count / cfg.decay_steps)
 
 
+def explore_draws(n_rows: int, eps: float, rng: np.random.Generator | None) -> np.ndarray:
+    """Each row's epsilon-greedy draw, row by row: ``rng.random()``, then,
+    if it falls below ``eps``, a uniform random action.  Gives the action
+    drawn, or -1 where the row acts greedily; ``rng`` may be omitted when
+    ``eps`` is 0."""
+    out = np.full(n_rows, -1, dtype=np.int64)
+    if eps > 0.0:
+        for i in range(n_rows):
+            if rng.random() < eps:
+                out[i] = int(rng.integers(N_ACTIONS))
+    return out
+
+
 def select_actions(
-    q: np.ndarray, eps: float, rng: np.random.Generator | None = None
+    q: np.ndarray, eps: float, rng: np.random.Generator | None = None,
+    drawn: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Independent epsilon-greedy pick per Q row; greedy ties go to the lowest
-    index.  ``rng`` may be omitted for the pure greedy case."""
+    """Independent epsilon-greedy pick per Q row, from ``explore_draws``
+    (or those already ``drawn``); greedy ties go to the lowest index."""
     if not np.isfinite(q).all():
         raise TrainingError("non-finite Q values passed to action selection")
-    out = np.empty(q.shape[0], dtype=np.int64)
-    for i in range(q.shape[0]):
-        if eps > 0.0 and rng.random() < eps:
-            out[i] = int(rng.integers(N_ACTIONS))
-        else:
-            out[i] = int(np.argmax(q[i]))
-    return out
+    if drawn is None:
+        drawn = explore_draws(q.shape[0], eps, rng)
+    return np.where(drawn < 0, np.argmax(q, axis=1), drawn)
 
 
 def td_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
@@ -234,8 +244,12 @@ class Trainer:
             for row in alive:
                 actions[row] = self.explore_rng.integers(N_ACTIONS)
         else:
-            chosen = select_actions(self.net.q_values(snap), self.current_epsilon(),
-                                    self.explore_rng)
+            # the draws come first, so the network runs only if an active
+            # CAV acts greedily
+            eps = self.current_epsilon()
+            chosen = explore_draws(snap.n_cavs, eps, self.explore_rng)
+            if (chosen[alive] < 0).any():
+                chosen = select_actions(self.net.q_values(snap), eps, drawn=chosen)
             actions[alive] = chosen[alive]
         return actions
 

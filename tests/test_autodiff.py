@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from ramplab import autodiff as ad
+from ramplab.network import ParamStore
+from ramplab.optim import clip_global_grad_norm
 
 RNG = np.random.default_rng(7)
 
@@ -100,10 +102,76 @@ def test_scene_attention_is_shift_invariant_and_overflow_safe():
     np.testing.assert_allclose(big.data, small.data, atol=1e-10)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_key_reductions_match_axis_reductions_bytes(dtype):
+    for shape in [(32, 4, 4, 4), (40, 4, 7, 7), (1, 4, 4, 4), (200, 4, 1, 1)]:
+        a = RNG.normal(size=shape).astype(dtype)
+        for ufunc in (np.maximum, np.add):
+            got = ad._reduce_keys(ufunc, a)
+            assert got.tobytes() == ufunc.reduce(a, axis=-1, keepdims=True).tobytes()
+
+
 def test_scene_attention_rejects_uneven_scene_split():
     x = ad.Tensor(np.zeros((6, 4)))
     with pytest.raises(ValueError):
         ad.scene_attention(x, x, x, 4, 2)
+
+
+def masked_naive_attention(q, k, v, alive, n_heads):
+    """Every token of every scene, ghost keys masked in an explicit loop: an
+    active token sees its scene's active tokens, an inactive one itself."""
+    n_scenes, m = alive.shape
+    dh = q.shape[1] // n_heads
+    out = np.zeros_like(q)
+    for b in range(n_scenes):
+        for i in range(m):
+            keys = [b * m + j for j in range(m) if alive[b, i] and alive[b, j] or i == j]
+            for h in range(n_heads):
+                c = slice(h * dh, (h + 1) * dh)
+                s = k[keys, c] @ q[b * m + i, c] / np.sqrt(dh)
+                e = np.exp(s - s.max())
+                out[b * m + i, c] = e / e.sum() @ v[keys, c]
+    return out
+
+
+def test_scene_attention_key_mask_on_every_row_and_on_the_active_rows():
+    alive = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    q, k, v = leaf((12, 4)), leaf((12, 4)), leaf((12, 4))
+    full = ad.scene_attention(q, k, v, 4, 2, alive)
+    np.testing.assert_allclose(full.data, masked_naive_attention(q.data, k.data, v.data, alive, 2),
+                               rtol=1e-12, atol=1e-14)
+    rows = np.flatnonzero(alive)
+    qa, ka, va = (leaf((rows.size, 4)) for _ in range(3))
+    for t, src in zip((qa, ka, va), (q, k, v)):
+        t.data[...] = src.data[rows]
+    packed = ad.scene_attention(qa, ka, va, 4, 2, alive)
+    np.testing.assert_allclose(packed.data, full.data[rows], rtol=1e-12, atol=1e-14)
+    w = ad.Tensor(RNG.normal(size=(12, 4)))
+    check_op(lambda: ad.sum_all(ad.mul(ad.scene_attention(q, k, v, 4, 2, alive), w)), q, k, v)
+    wa = ad.Tensor(w.data[rows])
+    check_op(lambda: ad.sum_all(ad.mul(ad.scene_attention(qa, ka, va, 4, 2, alive), wa)),
+             qa, ka, va)
+    with pytest.raises(ValueError):
+        ad.scene_attention(qa, ka, va, 4, 2, alive[:, :2])
+
+
+def test_backward_hands_a_shared_gradient_to_each_leaf_as_its_own_copy():
+    """add gives both parents one array; the clip scales leaf gradients in
+    place, so each leaf, and a leaf reached twice, is scaled exactly once."""
+    store = ParamStore(np.float64)
+    w, a, b = (store.add(name, RNG.normal(size=(2, 3))) for name in "wab")
+    x, u = (store.add(name, RNG.normal(size=(2, 1))) for name in "xu")
+    y, z = (store.add(name, RNG.normal(size=(2, 2))) for name in "yz")
+    coef = RNG.normal(size=(2, 3))
+    # both concats split the one array add gives them into column views
+    split = ad.add(ad.concat_cols([x, y]), ad.concat_cols([u, z]))
+    summed = ad.add(ad.add(w, w), ad.add(a, ad.add(b, split)))
+    ad.backward(ad.sum_all(ad.mul(summed, ad.Tensor(coef))))
+    want = {"w": 2 * coef, "a": coef, "b": coef, "x": coef[:, :1], "y": coef[:, 1:],
+            "u": coef[:, :1], "z": coef[:, 1:]}
+    norm = clip_global_grad_norm(store, 1e-3)
+    for name, t in store.items():
+        np.testing.assert_allclose(t.grad, want[name] * (1e-3 / norm), rtol=1e-12)
 
 
 def test_add_sub_mul_scale_grads():

@@ -1,17 +1,24 @@
 import csv
 import dataclasses
+import contextlib
+import io
 import json
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import scenario, small_experiment
 from ramplab.cli import TRACE_COLUMNS, main
 from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS
+from ramplab.network import build_network, save_checkpoint
 from ramplab.runs import blas_threads, write_run_info
 from ramplab.simulation import ActionCommand, reset, step
 from ramplab.trainer import METRICS_COLUMNS, Trainer
@@ -242,6 +249,8 @@ MANIFEST_DAMAGE = {
     "offset a string": lambda m: m["params"][0].update(offset="0"),
     "negative offset": lambda m: m["params"][0].update(offset=-4),
     "integer dtype": lambda m: m.update(dtype="<i4"),
+    "negative input width": lambda m: m["meta"].update(input_width=-5),
+    "negative feature width": lambda m: m["meta"].update(feature_width=-3),
 }
 
 
@@ -263,6 +272,87 @@ def test_non_finite_weight_exits_2(trained_run, tmp_path, capsys, bad):
     (ckpt / "params.bin").write_bytes(bytes(blob))
     err = exits_2_with_one_line_error("evaluate", trained_run, ckpt, tmp_path, capsys)
     assert "non-finite" in err and "embed.w" in err
+
+
+def test_huge_baseline_input_width_exits_2_without_allocating(tmp_path, capsys):
+    ckpt, config = untrained_checkpoint("madqn", tmp_path)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["meta"]["input_width"] = 10 ** 13
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    err = exits_2_with_one_line_error("evaluate", {"config": config}, ckpt, tmp_path, capsys)
+    assert "input_width" in err or "qhead.w1" in err
+
+
+def untrained_checkpoint(variant, root):
+    """A freshly built network of the small experiment, saved, and its config."""
+    cfg = small_experiment(model_variant=variant,
+                           network=dataclasses.replace(small_experiment().network, n_blocks=2,
+                                                       gcn_layers=2))
+    save_checkpoint(root / "ckpt", build_network(cfg, seed=0))
+    return root / "ckpt", write_config(root / "config.json", cfg)
+
+
+@pytest.fixture(scope="module", params=["gitsr", "madqn"])
+def pristine(request, tmp_path_factory):
+    ckpt, config = untrained_checkpoint(request.param, tmp_path_factory.mktemp(request.param))
+    return {"config": config, "manifest": json.loads((ckpt / "manifest.json").read_text()),
+            "blob": (ckpt / "params.bin").read_bytes()}
+
+
+JUNK = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(), st.text(max_size=3), st.none(),
+                 st.booleans(), st.lists(st.integers(-3, 3), max_size=2))
+
+
+@st.composite
+def damage(draw, manifest, blob_size):
+    """One change that leaves the checkpoint unusable: a meta field the
+    parameter shapes depend on, an entry's shape, an offset that runs past
+    the blob or is no offset, or a truncated blob.  Returns the manifest
+    and the blob length to keep."""
+    manifest = json.loads(json.dumps(manifest))
+    meta, entries = manifest["meta"], manifest["params"]
+    kind = draw(st.sampled_from(["meta", "shape", "offset", "truncate"]))
+    if kind == "meta":
+        shaping = ["input_width", "feature_width"] + [
+            f"network.{k}" for k in (meta["network"] if meta["variant"] == "gitsr"
+                                     else ["q_hidden"])]
+        field = draw(st.sampled_from(shaping))
+        holder = meta["network"] if field.startswith("network.") else meta
+        key = field.rpartition(".")[2]
+        holder[key] = draw(JUNK.filter(lambda v, true=holder[key]: v != true))
+        return manifest, blob_size
+    entry = draw(st.sampled_from(entries))
+    nbytes = 4 * int(np.prod(entry["shape"]))
+    if kind == "shape":
+        entry["shape"] = draw(st.one_of(JUNK, st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=3))
+                              .filter(lambda v, true=entry["shape"]: v != true))
+    elif kind == "offset":
+        entry["offset"] = draw(st.one_of(
+            st.integers(blob_size - nbytes + 1, 2 ** 70), st.integers(-2 ** 70, -1),
+            st.floats(), st.text(max_size=3), st.none(), st.booleans()))
+    else:
+        return manifest, draw(st.integers(0, blob_size - 1))
+    return manifest, blob_size
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoints_exit_2_with_one_error_line(pristine, data):
+    """ROADMAP item 4's fuzz: through `ramplab evaluate`, a damaged manifest
+    or blob exits 2 with one `error:` line, no traceback and no output."""
+    manifest, keep = data.draw(damage(pristine["manifest"], len(pristine["blob"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, out = Path(tmp) / "ckpt", Path(tmp) / "out.csv"
+        ckpt.mkdir()
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        (ckpt / "params.bin").write_bytes(pristine["blob"][:keep])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["evaluate", "--config", pristine["config"], "--checkpoint", str(ckpt),
+                         "--episodes", "1", "--out", str(out)])
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not out.exists()
 
 
 def test_train_refuses_to_checkpoint_non_finite_weights(tmp_path, capsys, monkeypatch):

@@ -3,10 +3,11 @@
 The elementwise references are ReLU as a select on ``a > 0``, LayerNorm
 statistics through ``ndarray.mean``, ``np.add.at`` scatters, and the
 finite-gradient check ahead of the clip; they change no output byte.  The
-all-rows references compute Q for every CAV row (the graph readout
-projecting every node before it mixes) and gather the active rows after;
-the learner computes only the rows its loss and targets read, which is
-exact in real arithmetic, so float64 agrees to rounding and ``madqn``,
+all-rows references compute Q for every CAV row (every CAV a transformer
+token, the inactive ones masked out of the others' attention; the graph
+readout projecting every node before it mixes) and gather the active rows
+after; the learner computes only the rows its loss and targets read, which
+is exact in real arithmetic, so float64 agrees to rounding and ``madqn``,
 whose rows never mix, to the byte.
 Both paths run in this one process on the same batches, so the comparison
 holds on any BLAS build and thread count.

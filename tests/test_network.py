@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import random_rollout, small_experiment, tiny_network
+from _helpers import random_rollout, scenario, small_experiment, tiny_network
 from ramplab.autodiff import Tensor, backward, graph_nodes, mul, no_grad, sum_all
 from ramplab.config import MODEL_VARIANTS
 from ramplab.network import (
@@ -20,7 +20,8 @@ from ramplab.network import (
     save_checkpoint,
     transformer_encode,
 )
-from ramplab.representation import build_state, stack_states
+from ramplab.representation import StateBatch, build_state, grid_rows, stack_states
+from ramplab.simulation import ActionCommand, episode_done, reset, step
 
 
 def make_snap(seed, config, representation="agent_centric"):
@@ -345,6 +346,119 @@ def test_row_subset_loss_gradient_matches_finite_differences(variant):
             p.data[i] = keep
             numeric = (hi - lo) / (2 * eps)
             assert abs(p.grad[i] - numeric) <= 1e-6 * max(1.0, abs(numeric)), (name, i)
+
+
+# -- inactive CAVs leave the transformer ----------------------------------
+
+
+def padded_reference_q(net, states):
+    """Q rows computed for every CAV row: every token embedded, and in every
+    block each token attending, in an explicit loop, to its scene's active
+    tokens if it is active and to itself only if not."""
+    alive = states.alive
+    n_scenes, m = alive.shape
+    x = grid_rows(states) @ net.transformer.embed_w.data + net.transformer.embed_b.data
+    dh = x.shape[1] // net.net_cfg.n_heads
+    for blk in net.transformer.blocks:
+        q, k, v = x @ blk.wq.data, x @ blk.wk.data, x @ blk.wv.data
+        attended = np.zeros_like(x)
+        for b, i in np.ndindex(n_scenes, m):
+            keys = [b * m + j for j in range(m) if alive[b, i] and alive[b, j] or i == j]
+            for h in range(net.net_cfg.n_heads):
+                c = slice(h * dh, (h + 1) * dh)
+                s = k[keys, c] @ q[b * m + i, c] / np.sqrt(dh)
+                e = np.exp(s - s.max())
+                attended[b * m + i, c] = e / e.sum() @ v[keys, c]
+        h = attended @ blk.wo.data + x
+        y = np.maximum(h @ blk.mlp_w1.data + blk.mlp_b1.data, 0) @ blk.mlp_w2.data
+        y += blk.mlp_b2.data
+        centred = y - y.mean(axis=1, keepdims=True)
+        x = centred / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + 1e-5)
+        x = x * blk.ln_g.data + blk.ln_b.data
+    if net.variant == "gitsr":
+        graph = gcn_forward(Tensor(states.features.reshape(-1, states.features.shape[-1])),
+                            gcn_normalize(states.adjacency.astype(float)), net.gcn_weights,
+                            states.cav_ids).data
+        x = np.hstack([x, graph])
+    return np.maximum(x @ net.q_w1.data + net.q_b1.data, 0) @ net.q_w2.data + net.q_b2.data
+
+
+MIXED_ALIVE = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0],
+                        [0, 0, 0, 1], [1, 1, 1, 0], [0, 1, 1, 0]], dtype=bool)
+
+
+def mixed_batch(variant, representation):
+    """Six four-CAV scenes with 4, 0, 2, 1, 3 and 2 CAVs marked active."""
+    cfg = small_experiment(model_variant=variant, representation=representation,
+                           scenario=scenario(n_cav=4, n_hdv=4, max_steps=30),
+                           network=dataclasses.replace(tiny_network(), n_blocks=2, gcn_layers=2))
+    net = build_network(cfg, seed=1, dtype=np.float64)
+    snaps = [build_state(random_rollout(cfg.scenario, seed, 3), cfg.scenario, representation)
+             for seed in range(len(MIXED_ALIVE))]
+    return net, dataclasses.replace(stack_states(snaps), alive=MIXED_ALIVE)
+
+
+def scene(states, b):
+    return StateBatch(**{f.name: None if getattr(states, f.name) is None
+                         else getattr(states, f.name)[b:b + 1]
+                         for f in dataclasses.fields(StateBatch)})
+
+
+@pytest.mark.parametrize("representation", ["agent_centric", "scene_centric"])
+@pytest.mark.parametrize("variant", ["gitsr", "madqn_transformer"])
+def test_packed_forward_matches_a_padded_reference(variant, representation):
+    net, states = mixed_batch(variant, representation)
+    want = padded_reference_q(net, states)
+    active = np.flatnonzero(states.alive)
+    np.testing.assert_allclose(net.forward_batch(states).data, want, rtol=0, atol=1e-12)
+    for rows in (active, active[::2], active[[3, 0]]):   # the learner's, and subsets
+        np.testing.assert_allclose(net.forward_batch(states, rows).data, want[rows],
+                                   rtol=0, atol=1e-12)
+    m = states.alive.shape[1]
+    for b in range(len(states.alive)):   # one scene: its active rows are the whole scene
+        one = scene(states, b)
+        np.testing.assert_allclose(net.forward_batch(one).data, want[b * m:(b + 1) * m],
+                                   rtol=0, atol=1e-12)
+        if one.alive.any():
+            rows = np.flatnonzero(one.alive)
+            np.testing.assert_allclose(net.forward_batch(one, rows).data, want[b * m + rows],
+                                       rtol=0, atol=1e-12)
+
+
+def snapshots_with_gone_cavs(cfg, count=3):
+    """Snapshots of random play in which some, not all, CAVs have left."""
+    out = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        world = reset(cfg.scenario, seed)
+        while not episode_done(world, cfg.scenario):
+            step(world, {vid: ActionCommand.from_index(int(rng.integers(9)))
+                         for vid in world.active_cav_ids()}, cfg.scenario)
+            snap = build_state(world, cfg.scenario, cfg.representation)
+            if 0 < snap.alive.sum() < snap.n_cavs:
+                out.append(snap)
+                break
+        if len(out) == count:
+            return out
+    raise AssertionError("random play left no partly active scene")
+
+
+@pytest.mark.parametrize("representation", ["agent_centric", "scene_centric"])
+@pytest.mark.parametrize("variant", ["gitsr", "madqn_transformer"])
+def test_every_inactive_cav_gets_the_same_finite_q_row(variant, representation):
+    cfg = small_experiment(model_variant=variant, representation=representation,
+                           scenario=scenario(n_cav=4, n_hdv=4, max_steps=60))
+    net = build_network(cfg, seed=2, dtype=np.float64)
+    snaps = snapshots_with_gone_cavs(cfg)
+    states = stack_states(snaps)
+    q = net.forward_batch(states).data
+    gone = q[~states.alive.reshape(-1)]
+    assert len(gone) >= 3 and np.isfinite(gone).all()
+    np.testing.assert_allclose(gone, np.tile(gone[:1], (len(gone), 1)), rtol=0, atol=1e-12)
+    for snap in snaps:   # the actor's B=1 forward gives the same row
+        np.testing.assert_allclose(net.q_values(snap)[~snap.alive], gone[:(~snap.alive).sum()],
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q, padded_reference_q(net, states), rtol=0, atol=1e-12)
 
 
 def test_network_seed_determinism():

@@ -409,6 +409,52 @@ def test_different_seeds_diverge():
 # -- bookkeeping ----------------------------------------------------------
 
 
+def reference_act(self, snap):
+    """The actor with the forward on every post-warm-up step: one draw per
+    row, then a random action for an exploring row, the greedy one else."""
+    actions = np.full(snap.n_cavs, FILLER_ACTION_INDEX, dtype=np.int64)
+    alive = np.flatnonzero(snap.alive)
+    if self.env_steps < self.cfg.training.warmup_steps:
+        for row in alive:
+            actions[row] = self.explore_rng.integers(9)
+        return actions
+    q, eps = self.net.q_values(snap), self.current_epsilon()
+    chosen = np.empty(snap.n_cavs, dtype=np.int64)
+    for i in range(snap.n_cavs):
+        if self.explore_rng.random() < eps:
+            chosen[i] = self.explore_rng.integers(9)
+        else:
+            chosen[i] = np.argmax(q[i])
+    actions[alive] = chosen[alive]
+    return actions
+
+
+def test_actor_skips_the_forward_when_every_active_cav_explores(monkeypatch):
+    cfg = small_experiment(training=dataclasses.replace(
+        small_experiment().training, episodes=8,
+        epsilon=EpsilonConfig(start=0.9, end=0.4, decay_steps=60)))
+    calls = []
+    counted = network_module.QNetwork.q_values
+
+    def counting(net, snap):
+        calls.append(snap.n_cavs)
+        return counted(net, snap)
+
+    monkeypatch.setattr(network_module.QNetwork, "q_values", counting)
+    runs = []
+    for act in (Trainer._act, reference_act):
+        monkeypatch.setattr(Trainer, "_act", act)
+        calls.clear()
+        trainer = Trainer(cfg, seed=5)
+        rows = [metrics_csv_row(m)[:-1] for m in trainer.train()]
+        runs.append((rows, trainer.net.store, len(calls)))
+    (rows, store, n_calls), (ref_rows, ref_store, ref_calls) = runs
+    assert rows == ref_rows
+    for name, tensor in store.items():
+        assert tensor.data.tobytes() == ref_store.params[name].data.tobytes(), name
+    assert 0 < n_calls < ref_calls
+
+
 def test_outcome_stats_counts_correct_exits():
     def cav(vid, outcome):
         return vehicle(vid, kind=VehicleKind.CAV_RAMP1, active=False, outcome=outcome)
