@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import scenario, small_experiment
+from _helpers import scenario, small_experiment, tiny_network
 from ramplab.cli import TRACE_COLUMNS, main
 from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS
 from ramplab.network import build_network, save_checkpoint
@@ -274,6 +274,14 @@ def test_non_finite_weight_exits_2(trained_run, tmp_path, capsys, bad):
     assert "non-finite" in err and "embed.w" in err
 
 
+def untrained_checkpoint(variant, root):
+    """A freshly built network of the small experiment, saved, and its config."""
+    cfg = small_experiment(model_variant=variant,
+                           network=dataclasses.replace(tiny_network(), n_blocks=2, gcn_layers=2))
+    save_checkpoint(root / "ckpt", build_network(cfg, seed=0))
+    return root / "ckpt", write_config(root / "config.json", cfg)
+
+
 def test_huge_baseline_input_width_exits_2_without_allocating(tmp_path, capsys):
     ckpt, config = untrained_checkpoint("madqn", tmp_path)
     manifest = json.loads((ckpt / "manifest.json").read_text())
@@ -281,15 +289,6 @@ def test_huge_baseline_input_width_exits_2_without_allocating(tmp_path, capsys):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     err = exits_2_with_one_line_error("evaluate", {"config": config}, ckpt, tmp_path, capsys)
     assert "input_width" in err or "qhead.w1" in err
-
-
-def untrained_checkpoint(variant, root):
-    """A freshly built network of the small experiment, saved, and its config."""
-    cfg = small_experiment(model_variant=variant,
-                           network=dataclasses.replace(small_experiment().network, n_blocks=2,
-                                                       gcn_layers=2))
-    save_checkpoint(root / "ckpt", build_network(cfg, seed=0))
-    return root / "ckpt", write_config(root / "config.json", cfg)
 
 
 @pytest.fixture(scope="module", params=["gitsr", "madqn"])
