@@ -64,7 +64,9 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
-        self._scratch = {name: np.empty_like(t.data) for name, t in store.items()}
+        # one scratch array, sized to the largest parameter, serves every step
+        self._scratch = np.empty(max((t.data.size for _, t in store.items()), default=0),
+                                 dtype=store.dtype)
 
     def step(self) -> None:
         self.t += 1
@@ -77,7 +79,8 @@ class Adam:
             g = tensor.grad
             if g is None:
                 continue
-            m, v, a = self.m[name], self.v[name], self._scratch[name]
+            m, v = self.m[name], self.v[name]
+            a = self._scratch[:g.size].reshape(g.shape)
             m *= BETA1
             m += g
             v *= BETA2

@@ -243,3 +243,18 @@ def test_clip_and_step_allocate_no_parameter_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak < param_bytes / 4
+
+
+def test_adam_state_is_two_moments_and_one_largest_parameter():
+    """Besides m and v, Adam holds one scratch array the size of the
+    largest parameter, shared by every tensor's step."""
+    store = build_network(ExperimentConfig(), seed=0).store
+    param_bytes = sum(t.data.nbytes for _, t in store.items())
+    largest = max(t.data.nbytes for _, t in store.items())
+    tracemalloc.start()
+    try:
+        opt = Adam(store, lr=1e-3)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * param_bytes + largest <= held < 2 * param_bytes + largest + 64 * 1024

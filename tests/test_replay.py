@@ -1,15 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import scenario
-from ramplab.replay import ReplayBuffer
+from ramplab.config import ExperimentConfig
+from ramplab.replay import Batch, ReplayBuffer
 from ramplab.representation import (
+    StateBatch,
     StateSnapshot,
     build_state,
     grid_rows,
     stack_states,
 )
 from ramplab.simulation import ActionCommand, episode_done, reset, step
+from ramplab.trainer import Trainer
 
 
 def stub_snapshot(tag: int) -> StateSnapshot:
@@ -112,3 +119,128 @@ def test_sampled_states_equal_build_state_bit_for_bit(representation):
             assert got.adjacency[b].tobytes() == snap.adjacency.tobytes()
             np.testing.assert_array_equal(got.alive[b], snap.alive)
             np.testing.assert_array_equal(got.cav_ids[b], snap.cav_ids)
+
+
+class TwoRingReplay:
+    """Reference: the layout the one-ring buffer replaced, which copies s and
+    s_next of every transition into rings of their own."""
+
+    def __init__(self, capacity: int, seed: int):
+        self.capacity = capacity
+        self._rng = np.random.default_rng(seed)
+        self._adds = 0
+
+    def add(self, s, actions, reward, s_next, done) -> None:
+        if not self._adds:
+            first = {f.name: np.asarray(getattr(s, f.name)) for f in dataclasses.fields(StateBatch)
+                     if getattr(s, f.name) is not None}
+            self._s, self._s_next = ({name: np.zeros((self.capacity, *a.shape), dtype=a.dtype)
+                                      for name, a in first.items()} for _ in range(2))
+            self._actions = np.zeros((self.capacity, *np.shape(actions)), dtype=np.int64)
+            self._reward = np.zeros(self.capacity)
+            self._done = np.zeros(self.capacity, dtype=bool)
+        slot = self._adds % self.capacity
+        for rings, snap in ((self._s, s), (self._s_next, s_next)):
+            for name, ring in rings.items():
+                ring[slot] = getattr(snap, name)
+        self._actions[slot] = actions
+        self._reward[slot] = reward
+        self._done[slot] = done
+        self._adds += 1
+
+    def sample(self, batch_size: int) -> Batch:
+        idx = self._rng.choice(min(self._adds, self.capacity), size=batch_size, replace=False)
+        return Batch(
+            s=StateBatch(**{name: ring[idx] for name, ring in self._s.items()}),
+            actions=self._actions[idx], reward=self._reward[idx],
+            s_next=StateBatch(**{name: ring[idx] for name, ring in self._s_next.items()}),
+            done=self._done[idx],
+        )
+
+
+def random_snapshot(rng: np.random.Generator) -> StateSnapshot:
+    return StateSnapshot(
+        sr=rng.standard_normal((2, 3)).astype(np.float32),
+        features=rng.standard_normal((3, 2)).astype(np.float32),
+        adjacency=rng.random((3, 3)) < 0.5,
+        mask=np.ones(3, dtype=np.float32),
+        cav_ids=tuple(int(i) for i in rng.integers(0, 9, size=2)),
+        alive=rng.random(2) < 0.5,
+    )
+
+
+def assert_batches_equal(got: Batch, want: Batch) -> None:
+    for name in ("actions", "reward", "done"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for end in ("s", "s_next"):
+        for f in dataclasses.fields(StateBatch):
+            a, b = getattr(getattr(got, end), f.name), getattr(getattr(want, end), f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (end, f.name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    ops=st.lists(st.tuples(st.sampled_from(["continue", "equal", "unrelated"]),
+                           st.booleans(), st.integers(min_value=0, max_value=7)),
+                 min_size=1, max_size=60),
+)
+def test_one_ring_batches_equal_the_two_ring_reference(capacity, seed, ops):
+    """Random adds whose s continues the previous s_next, equals it in a new
+    object, or is unrelated, with random done flags: every batch equals the
+    two-ring reference's byte for byte, and the RNG is consumed alike."""
+    rng = np.random.default_rng(seed)
+    buf, ref = ReplayBuffer(capacity, seed), TwoRingReplay(capacity, seed)
+    s_next = None
+    continued = []      # whether add k's s was the previous s_next object
+    for kind, done, n_sample in ops:
+        if s_next is None or kind == "unrelated":
+            s = random_snapshot(rng)
+        elif kind == "equal":
+            s = dataclasses.replace(s_next, **{
+                name: np.array(getattr(s_next, name)) for name in ("sr", "features", "adjacency",
+                                                                   "mask", "alive")})
+        else:
+            s = s_next
+        continued.append(s is s_next)
+        s_next = random_snapshot(rng)
+        actions = rng.integers(0, 9, size=2)
+        reward = float(rng.standard_normal())
+        for b in (buf, ref):
+            b.add(s, actions, reward, s_next, done)
+        if 0 < n_sample <= len(buf):
+            assert_batches_equal(buf.sample(n_sample), ref.sample(n_sample))
+    assert_batches_equal(buf.sample(len(buf)), ref.sample(len(buf)))
+    assert buf._rng.bit_generator.state == ref._rng.bit_generator.state
+    # a side entry per live transition whose successor did not continue it
+    live = range(max(0, len(continued) - capacity), len(continued) - 1)
+    assert len(buf._side) == sum(not continued[k + 1] for k in live)
+
+
+def test_trainer_replay_stores_one_snapshot_per_transition():
+    """Past capacity, a default-scenario gitsr buffer holds one state slot
+    per transition plus one, and 41 B of actions, reward and done; only
+    terminal states that a later add displaced sit in the side store."""
+    cfg = ExperimentConfig()
+    capacity = 100
+    cfg = dataclasses.replace(cfg, training=dataclasses.replace(
+        cfg.training, warmup_steps=10 ** 9, buffer_capacity=capacity))
+    trainer = Trainer(cfg, seed=0)
+    while trainer.env_steps < 3 * capacity:
+        trainer.run_episode()
+    buf = trainer.buffer
+    snap = trainer.net.observe(reset(cfg.scenario, 0), cfg.scenario)
+    snapshot_bytes = sum(np.asarray(getattr(snap, f.name)).nbytes
+                         for f in dataclasses.fields(StateBatch)
+                         if getattr(snap, f.name) is not None)
+    per_transition = 8 * cfg.scenario.n_cav + 8 + 1
+    assert (snapshot_bytes, per_transition) == (3240, 41)
+    ring_bytes = (sum(ring.nbytes for ring in buf._states.values())
+                  + buf._actions.nbytes + buf._reward.nbytes + buf._done.nbytes)
+    assert ring_bytes <= capacity * (snapshot_bytes + per_transition) + snapshot_bytes
+    newest = (buf._adds - 1) % capacity
+    displaced_terminals = int(buf._done.sum() - buf._done[newest])
+    assert displaced_terminals > 0
+    assert len(buf._side) == displaced_terminals

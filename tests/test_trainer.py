@@ -530,8 +530,9 @@ def test_rollout_snapshots_the_terminal_state_only_for_on_step(monkeypatch):
 
 @pytest.mark.parametrize("variant", MODEL_VARIANTS)
 def test_replay_rings_take_the_layout_of_the_observed_state(variant):
-    """After one episode the rings hold, for s and for s_next, one array per
-    field the network observes, shaped and typed as build_state makes it."""
+    """After one episode the rings hold one array per field the network
+    observes, shaped and typed as build_state makes it, with capacity + 1
+    state slots: s and s_next share them."""
     cfg = small_experiment(model_variant=variant)
     trainer = Trainer(cfg, seed=2)
     trainer.run_episode()
@@ -542,8 +543,8 @@ def test_replay_rings_take_the_layout_of_the_observed_state(variant):
     for f in dataclasses.fields(StateBatch):
         if f.name not in unread:
             value = np.asarray(getattr(full, f.name))
-            want[f.name] = ((cfg.training.buffer_capacity, *value.shape), value.dtype)
-    for rings in (trainer.buffer._s, trainer.buffer._s_next):
-        assert {name: (ring.shape, ring.dtype) for name, ring in rings.items()} == want
+            want[f.name] = ((cfg.training.buffer_capacity + 1, *value.shape), value.dtype)
+    rings = trainer.buffer._states
+    assert {name: (ring.shape, ring.dtype) for name, ring in rings.items()} == want
     if variant == "gitsr":
         assert want["adjacency"][1] == np.dtype(bool)
