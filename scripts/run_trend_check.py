@@ -5,19 +5,19 @@ baseline on the full merge scenario.
 Trains both variants for the same episode budget across several seeds with an
 exploration schedule compressed to fit that budget, then compares mean return
 over the final window of episodes.  The ordering is reported, not asserted:
-the result lands in ``trend_report.json`` either way.
+the result lands in ``trend_report.json`` either way.  Each arm is one
+training cell (``ramplab.runs.train_cell``) with its run directory under
+``<out>/<variant>/``.
 """
 import argparse
 import dataclasses
 import json
-import time
 from pathlib import Path
 
 import numpy as np
 
 from ramplab.config import EpsilonConfig, ExperimentConfig, TrainingConfig
-from ramplab.runs import MetricsWriter
-from ramplab.trainer import Trainer
+from ramplab.runs import train_cell
 
 ARMS = ("gitsr", "madqn")
 
@@ -36,27 +36,6 @@ def scaled_config(variant: str, episodes: int) -> ExperimentConfig:
     return ExperimentConfig(training=training, model_variant=variant)
 
 
-def run_arm(variant: str, seed: int, episodes: int, out_dir: Path) -> list[float]:
-    cfg = scaled_config(variant, episodes)
-    trainer = Trainer(cfg, seed)
-    returns: list[float] = []
-    t0 = time.perf_counter()
-
-    def on_episode(metrics):
-        returns.append(metrics.return_total)
-        if metrics.episode % 25 == 0:
-            recent = float(np.mean(returns[-25:]))
-            print(f"  {variant} seed {seed} episode {metrics.episode}/{episodes}: "
-                  f"mean return (last 25) {recent:.1f}, eps {metrics.epsilon:.3f}, "
-                  f"{time.perf_counter() - t0:.0f}s", flush=True)
-
-    run_dir = out_dir / variant / f"seed_{seed}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with MetricsWriter(run_dir / "metrics.csv") as writer:
-        trainer.train(on_episode=lambda m: (writer.write(m), on_episode(m)))
-    return returns
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--episodes", type=int, default=300)
@@ -67,16 +46,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     arms: dict[str, dict] = {}
     for variant in ARMS:
-        per_seed: dict[str, float] = {}
-        for seed in args.seeds:
-            print(f"training {variant} seed {seed}...", flush=True)
-            returns = run_arm(variant, seed, args.episodes, out_dir)
-            per_seed[str(seed)] = float(np.mean(returns[-args.window:]))
-            print(f"  {variant} seed {seed} final-{args.window} mean: "
-                  f"{per_seed[str(seed)]:.2f}", flush=True)
+        cfg = dataclasses.replace(scaled_config(variant, args.episodes), seeds=args.seeds,
+                                  output_dir=str(out_dir / variant))
+        per_seed = {
+            str(seed): float(np.mean([m.return_total for m in rows[-args.window:]]))
+            for seed, rows in train_cell(cfg, cfg.output_dir).items()
+        }
         arms[variant] = {
             "per_seed": per_seed,
             "mean": float(np.mean(list(per_seed.values()))),

@@ -20,11 +20,14 @@ from ramplab.config import (
     ExperimentConfig,
     load_experiment_config,
 )
-from ramplab.network import CheckpointError, QNetwork, network_from_checkpoint, save_checkpoint
+from ramplab.network import CheckpointError, QNetwork, network_from_checkpoint
 from ramplab.representation import feature_width, grid_width
 from ramplab.runs import (
-    MetricsWriter,
+    SUMMARY_METRICS,
+    SUMMARY_WINDOW,
+    metric_value,
     summarize_final_window,
+    train_cell,
     write_json,
     write_metrics_csv,
     write_run_info,
@@ -32,7 +35,6 @@ from ramplab.runs import (
 from ramplab.simulation import TRACE_FIELDS, reset, trace_rows
 from ramplab.trainer import (
     METRICS_COLUMNS,
-    Trainer,
     evaluate_policy,
     greedy_actions,
     metrics_csv_row,
@@ -83,32 +85,13 @@ def _check_net_matches(net: QNetwork, cfg: ExperimentConfig) -> None:
         raise CheckpointError("checkpoint does not fit config: " + "; ".join(problems))
 
 
-def _train_one_seed(cfg: ExperimentConfig, seed: int, seed_dir: Path):
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = seed_dir / "checkpoints"
-    trainer = Trainer(cfg, seed)
-    with MetricsWriter(seed_dir / "metrics.csv") as writer:
-        return trainer.train(
-            on_episode=writer.write,
-            on_checkpoint=lambda net, tag: save_checkpoint(ckpt_dir / tag, net),
-        )
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "config.json", dataclasses.asdict(cfg))
-    write_run_info(out_dir, dataclasses.asdict(cfg), cfg.seeds)
-    per_seed = {}
-    for seed in cfg.seeds:
-        print(f"training seed {seed} ({cfg.model_variant}, {cfg.representation})")
-        per_seed[seed] = _train_one_seed(cfg, seed, out_dir / f"seed_{seed}")
-    window = min(100, cfg.training.episodes)
-    summary = summarize_final_window(per_seed, window)
-    write_json(out_dir / "summary.json", summary)
+    train_cell(cfg, cfg.output_dir)
+    summary = json.loads(Path(cfg.output_dir, "summary.json").read_text())
     for name, stats in summary["metrics"].items():
-        print(f"{name}: {stats['mean']:.4f} +- {stats['std']:.4f} (final {window} episodes)")
+        print(f"{name}: {stats['mean']:.4f} +- {stats['std']:.4f} "
+              f"(final {summary['window_episodes']} episodes)")
     return 0
 
 
@@ -123,16 +106,10 @@ def cmd_evaluate(args) -> int:
     rows = evaluate_policy(net, cfg, n_episodes, seed)
     out_path = Path(args.out or "evaluation.csv")
     write_metrics_csv(out_path, rows)
+    aggregate = {"episodes": n_episodes}
     if rows:
-        aggregate = {
-            "episodes": n_episodes,
-            "return_mean": sum(r.return_total for r in rows) / len(rows),
-            "success_rate_mean": sum(r.success_rate for r in rows) / len(rows),
-            "collisions_mean": sum(r.collisions for r in rows) / len(rows),
-            "mean_speed_mean": sum(r.mean_speed for r in rows) / len(rows),
-        }
-    else:
-        aggregate = {"episodes": 0}
+        for name in SUMMARY_METRICS:
+            aggregate[f"{name}_mean"] = sum(metric_value(r, name) for r in rows) / len(rows)
     print(json.dumps(aggregate))
     return 0
 
@@ -143,40 +120,35 @@ def cmd_ablate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "config.json", dataclasses.asdict(cfg))
     write_run_info(out_dir, dataclasses.asdict(cfg), cfg.seeds)
-    window = min(100, cfg.training.episodes)
+    window = min(SUMMARY_WINDOW, cfg.training.episodes)
     table: dict = {}
     failures: dict = {}
-    combined_path = out_dir / "combined.csv"
-    with open(combined_path, "w", newline="") as fh:
-        columns = ("row_type", "representation") + METRICS_COLUMNS
+    columns = ("row_type", "representation") + METRICS_COLUMNS
+    with open(out_dir / "combined.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, columns, restval="")
         writer.writeheader()
         for variant in MODEL_VARIANTS:
             for representation in REPRESENTATIONS:
                 cell = f"{variant}/{representation}"
                 cell_cfg = dataclasses.replace(
-                    cfg, model_variant=variant, representation=representation
+                    cfg, model_variant=variant, representation=representation,
+                    output_dir=str(out_dir / variant / representation),
                 )
                 try:
-                    per_seed = {}
-                    for seed in cell_cfg.seeds:
-                        print(f"ablation cell {cell} seed {seed}")
-                        trainer = Trainer(cell_cfg, seed)
-                        rows = trainer.train()
-                        per_seed[seed] = rows
-                        for m in rows:
-                            writer.writerow(dict(zip(
-                                columns, ["episode", representation, *metrics_csv_row(m)])))
-                    summary = summarize_final_window(per_seed, window)
-                    table[cell] = {
-                        name: stats["mean"] for name, stats in summary["metrics"].items()
-                    }
-                    writer.writerow({"row_type": "aggregate", "representation": representation,
-                                     "variant": variant,
-                                     **{name: repr(v) for name, v in table[cell].items()}})
+                    per_seed = train_cell(cell_cfg, cell_cfg.output_dir)
                 except Exception as exc:  # cell isolation: keep the grid going
                     failures[cell] = f"{type(exc).__name__}: {exc}"
                     print(f"ablation cell {cell} failed: {failures[cell]}", file=sys.stderr)
+                    continue
+                for rows in per_seed.values():
+                    for m in rows:
+                        writer.writerow(dict(zip(
+                            columns, ["episode", representation, *metrics_csv_row(m)])))
+                summary = summarize_final_window(per_seed, window)
+                table[cell] = {name: stats["mean"] for name, stats in summary["metrics"].items()}
+                writer.writerow({"row_type": "aggregate", "representation": representation,
+                                 "variant": variant,
+                                 **{name: repr(v) for name, v in table[cell].items()}})
                 fh.flush()
     report = {"window_episodes": window, "cells": table, "failures": failures}
     write_json(out_dir / "ablation_summary.json", report)

@@ -1,7 +1,10 @@
-"""Run-directory bookkeeping: metrics CSVs, aggregate summaries, provenance.
+"""Training cells and their run directories.
 
-A training run directory holds a copy of its config, a provenance record,
-one metrics CSV per seed, and checkpoints.  The provenance record names what
+:func:`train_cell` trains one config over its seeds for ``ramplab train``,
+for each ``ramplab ablate`` grid cell and for each trend-script arm.  Its run
+directory holds ``config.json``, a provenance record (``run_info.json``),
+``seed_<s>/metrics.csv``, ``seed_<s>/checkpoints/`` and ``summary.json``,
+the final-window means across seeds.  The provenance record names what
 a bit-for-bit rerun must match: the package content hash, seeds, Python and
 numpy, and the BLAS library with its thread-count variables and the thread
 count it actually runs with, since BLAS builds and thread counts may sum
@@ -12,18 +15,26 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import dataclasses
 import hashlib
 import json
 import os
 import platform
+import time
 from pathlib import Path
 
 import numpy as np
 
 import ramplab
-from ramplab.trainer import METRICS_COLUMNS, EpisodeMetrics, metrics_csv_row
+from ramplab.config import ExperimentConfig
+from ramplab.network import save_checkpoint
+from ramplab.trainer import METRICS_COLUMNS, EpisodeMetrics, Trainer, metrics_csv_row
 
 SUMMARY_METRICS = ("return", "success_rate", "collisions", "mean_speed")
+# summary.json averages each seed's last min(SUMMARY_WINDOW, episodes) episodes.
+SUMMARY_WINDOW = 100
+# Episodes between progress lines, and the window of their mean return.
+PROGRESS_EVERY = 25
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Thread-count getters of OpenBLAS builds: plain, 64-bit interface, and the
 # prefixed builds that numpy wheels bundle.
@@ -73,7 +84,7 @@ def write_metrics_csv(path: str | Path, rows: list[EpisodeMetrics]) -> None:
             writer.write(row)
 
 
-def _metric_value(m: EpisodeMetrics, name: str) -> float:
+def metric_value(m: EpisodeMetrics, name: str) -> float:
     return {
         "return": m.return_total,
         "success_rate": m.success_rate,
@@ -96,7 +107,7 @@ def summarize_final_window(
         per_seed_mean = {}
         for seed, rows in per_seed.items():
             tail = rows[-window:]
-            per_seed_mean[seed] = float(np.mean([_metric_value(m, name) for m in tail]))
+            per_seed_mean[seed] = float(np.mean([metric_value(m, name) for m in tail]))
         values = [per_seed_mean[s] for s in sorted(per_seed)]
         summary["metrics"][name] = {
             "per_seed_mean": {str(s): per_seed_mean[s] for s in sorted(per_seed)},
@@ -147,3 +158,40 @@ def write_run_info(directory: str | Path, cfg_dict: dict, seeds: list[int]) -> N
 
 def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def train_cell(cfg: ExperimentConfig, out_dir: str | Path) -> dict[int, list[EpisodeMetrics]]:
+    """Train ``cfg`` once per seed in ``cfg.seeds`` into the run directory
+    ``out_dir``; returns each seed's episode metrics.  A config that fails
+    validation raises before anything is written."""
+    cfg.validate()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "config.json", dataclasses.asdict(cfg))
+    write_run_info(out_dir, dataclasses.asdict(cfg), cfg.seeds)
+    episodes = cfg.training.episodes
+    per_seed = {}
+    for seed in cfg.seeds:
+        print(f"training seed {seed} ({cfg.model_variant}, {cfg.representation})", flush=True)
+        seed_dir = out_dir / f"seed_{seed}"
+        seed_dir.mkdir(parents=True, exist_ok=True)
+        ckpt_dir = seed_dir / "checkpoints"
+        trainer = Trainer(cfg, seed)
+        rows = per_seed[seed] = []
+        t0 = time.perf_counter()
+        with MetricsWriter(seed_dir / "metrics.csv") as writer:
+
+            def on_episode(m: EpisodeMetrics) -> None:
+                writer.write(m)
+                rows.append(m)
+                if m.episode % PROGRESS_EVERY == 0:
+                    recent = float(np.mean([r.return_total for r in rows[-PROGRESS_EVERY:]]))
+                    print(f"  seed {seed} episode {m.episode}/{episodes}: mean return "
+                          f"(last {PROGRESS_EVERY}) {recent:.1f}, eps {m.epsilon:.3f}, "
+                          f"{time.perf_counter() - t0:.0f}s", flush=True)
+
+            trainer.train(on_episode=on_episode,
+                          on_checkpoint=lambda net, tag: save_checkpoint(ckpt_dir / tag, net))
+    window = min(SUMMARY_WINDOW, episodes)
+    write_json(out_dir / "summary.json", summarize_final_window(per_seed, window))
+    return per_seed

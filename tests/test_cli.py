@@ -435,7 +435,7 @@ def test_trace_step0_rows_have_no_action_or_reward(trained_run, tmp_path, capsys
 # -- ablate ---------------------------------------------------------------
 
 
-def test_ablate_covers_the_grid(tmp_path, capsys):
+def run_tiny_grid(tmp_path):
     cfg = small_experiment(
         scenario=scenario(n_cav=2, n_hdv=3, max_steps=10),
     )
@@ -445,8 +445,19 @@ def test_ablate_covers_the_grid(tmp_path, capsys):
     config = write_config(tmp_path / "config.json", cfg)
     out = tmp_path / "grid"
     code = main(["ablate", "--config", config, "--out", str(out)])
+    return code, out
+
+
+@pytest.fixture(scope="module")
+def tiny_grid(tmp_path_factory):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, out = run_tiny_grid(tmp_path_factory.mktemp("ablate"))
     assert code == 0
-    capsys.readouterr()
+    return out
+
+
+def test_ablate_covers_the_grid(tiny_grid):
+    out = tiny_grid
     summary = json.loads((out / "ablation_summary.json").read_text())
     cells = {f"{v}/{r}" for v in MODEL_VARIANTS for r in REPRESENTATIONS}
     assert set(summary["cells"]) == cells
@@ -464,3 +475,51 @@ def test_ablate_covers_the_grid(tmp_path, capsys):
         assert {name: float(row[name]) for name in means} == means
         assert set(means) == {"return", "success_rate", "collisions", "mean_speed"}
         assert all(row[name] == "" for name in ("episode", "seed", "epsilon", "wall_ms"))
+
+
+def test_ablate_cells_are_train_runs_that_agree_with_the_grid_files(tiny_grid):
+    """Each cell's run directory is what ``train`` writes, and the grid's
+    combined.csv and ablation_summary.json say the same as those files."""
+    combined = read_csv(tiny_grid / "combined.csv")
+    cells = json.loads((tiny_grid / "ablation_summary.json").read_text())["cells"]
+    for variant in MODEL_VARIANTS:
+        for representation in REPRESENTATIONS:
+            cell_dir = tiny_grid / variant / representation
+            for name in ("config.json", "run_info.json", "summary.json"):
+                assert (cell_dir / name).is_file()
+            assert (cell_dir / "seed_1" / "checkpoints" / "final" / "params.bin").is_file()
+            episodes = [
+                {k: v for k, v in r.items() if k not in ("row_type", "representation")}
+                for r in combined if r["row_type"] == "episode"
+                and (r["variant"], r["representation"]) == (variant, representation)
+            ]
+            assert episodes and read_csv(cell_dir / "seed_1" / "metrics.csv") == episodes
+            summary = json.loads((cell_dir / "summary.json").read_text())
+            assert {name: stats["mean"] for name, stats in summary["metrics"].items()} \
+                == cells[f"{variant}/{representation}"]
+
+
+def test_ablate_records_a_failing_cell_and_finishes_the_grid(tmp_path, capsys, monkeypatch):
+    init = Trainer.__init__
+
+    def failing(self, cfg, seed, *args, **kwargs):
+        if (cfg.model_variant, cfg.representation) == ("gitsr", "scene_centric"):
+            raise RuntimeError("injected failure")
+        init(self, cfg, seed, *args, **kwargs)
+
+    monkeypatch.setattr(Trainer, "__init__", failing)
+    code, out = run_tiny_grid(tmp_path)
+    assert code == 1
+    assert "gitsr/scene_centric failed: RuntimeError: injected failure" in capsys.readouterr().err
+    summary = json.loads((out / "ablation_summary.json").read_text())
+    assert summary["failures"] == {"gitsr/scene_centric": "RuntimeError: injected failure"}
+    rest = {(v, r) for v in MODEL_VARIANTS for r in REPRESENTATIONS} - {("gitsr", "scene_centric")}
+    assert set(summary["cells"]) == {f"{v}/{r}" for v, r in rest}
+    rows = read_csv(out / "combined.csv")
+    assert {(r["variant"], r["representation"]) for r in rows if r["row_type"] == "aggregate"} \
+        == rest
+    # the failed cell leaves no row at all in combined.csv
+    assert all((r["variant"], r["representation"]) in rest for r in rows)
+    for variant, representation in rest:
+        assert (out / variant / representation / "seed_1" / "checkpoints" / "final"
+                / "params.bin").is_file()

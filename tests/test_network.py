@@ -461,6 +461,33 @@ def test_every_inactive_cav_gets_the_same_finite_q_row(variant, representation):
     np.testing.assert_allclose(q, padded_reference_q(net, states), rtol=0, atol=1e-12)
 
 
+def test_transformer_only_scene_centric_gives_every_active_cav_one_q_row():
+    """Pins a known defect of the madqn_transformer x scene_centric ablation
+    cell: every CAV's input row is the same scene grid and the transformer
+    has no ego or positional signal, so all active CAVs get bit-identical Q
+    rows and take the same greedy action.  An ego marker in the grid rows
+    would end this; the test then changes with it."""
+    cfg = small_experiment(model_variant="madqn_transformer", representation="scene_centric",
+                           scenario=scenario(max_steps=30))
+    net = build_network(cfg, seed=3)
+    checked = 0
+    for env_seed in range(5):
+        rng = np.random.default_rng(env_seed)
+        world = reset(cfg.scenario, env_seed)
+        while True:
+            snap = net.observe(world, cfg.scenario)
+            if snap.alive.sum() > 1:
+                q = net.q_values(snap)[snap.alive]
+                assert np.isfinite(q).all()
+                np.testing.assert_array_equal(q, np.tile(q[:1], (len(q), 1)))
+                checked += 1
+            if episode_done(world, cfg.scenario):
+                break
+            step(world, {vid: ActionCommand.from_index(int(rng.integers(9)))
+                         for vid in world.active_cav_ids()}, cfg.scenario)
+    assert checked >= 20
+
+
 def test_network_seed_determinism():
     cfg = small_experiment()
     a = build_network(cfg, seed=11)

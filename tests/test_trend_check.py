@@ -24,5 +24,9 @@ def test_trend_check_writes_its_report_and_metrics(tmp_path, capsys):
     for variant in script.ARMS:
         assert set(report["arms"][variant]) == {"per_seed", "mean"}
         assert set(report["arms"][variant]["per_seed"]) == {"0"}
-        with open(tmp_path / variant / "seed_0" / "metrics.csv", newline="") as fh:
+        arm = tmp_path / variant
+        with open(arm / "seed_0" / "metrics.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
+        summary = json.loads((arm / "summary.json").read_text())
+        assert summary["seeds"] == [0]
+        assert (arm / "seed_0" / "checkpoints" / "final" / "params.bin").is_file()
