@@ -12,11 +12,12 @@ training cell (``ramplab.runs.train_cell``) with its run directory under
 import argparse
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from ramplab.config import EpsilonConfig, ExperimentConfig, TrainingConfig
+from ramplab.config import ConfigError, EpsilonConfig, ExperimentConfig, TrainingConfig
 from ramplab.runs import train_cell
 
 ARMS = ("gitsr", "madqn")
@@ -46,10 +47,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
+    cfgs = [dataclasses.replace(scaled_config(variant, args.episodes), seeds=args.seeds,
+                                output_dir=str(out_dir / variant)) for variant in ARMS]
+    try:
+        for cfg in cfgs:
+            cfg.validate()
+    except ConfigError as exc:
+        # the CLI's report of a bad config, before anything is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     arms: dict[str, dict] = {}
-    for variant in ARMS:
-        cfg = dataclasses.replace(scaled_config(variant, args.episodes), seeds=args.seeds,
-                                  output_dir=str(out_dir / variant))
+    for variant, cfg in zip(ARMS, cfgs):
         per_seed = {
             str(seed): float(np.mean([m.return_total for m in rows[-args.window:]]))
             for seed, rows in train_cell(cfg, cfg.output_dir).items()

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from ramplab.config import (
@@ -138,6 +139,9 @@ def cmd_ablate(args) -> int:
                     per_seed = train_cell(cell_cfg, cell_cfg.output_dir)
                 except Exception as exc:  # cell isolation: keep the grid going
                     failures[cell] = f"{type(exc).__name__}: {exc}"
+                    cell_dir = Path(cell_cfg.output_dir)
+                    cell_dir.mkdir(parents=True, exist_ok=True)
+                    (cell_dir / "error.txt").write_text(traceback.format_exc())
                     print(f"ablation cell {cell} failed: {failures[cell]}", file=sys.stderr)
                     continue
                 for rows in per_seed.values():

@@ -510,7 +510,13 @@ def test_ablate_records_a_failing_cell_and_finishes_the_grid(tmp_path, capsys, m
     monkeypatch.setattr(Trainer, "__init__", failing)
     code, out = run_tiny_grid(tmp_path)
     assert code == 1
-    assert "gitsr/scene_centric failed: RuntimeError: injected failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ablation cell gitsr/scene_centric failed: RuntimeError: injected failure\n" in err
+    assert "Traceback" not in err
+    # the cell's run directory keeps the full traceback, down to the raise
+    error = (out / "gitsr" / "scene_centric" / "error.txt").read_text()
+    assert error.startswith("Traceback (most recent call last):")
+    assert "in failing" in error and error.endswith("RuntimeError: injected failure\n")
     summary = json.loads((out / "ablation_summary.json").read_text())
     assert summary["failures"] == {"gitsr/scene_centric": "RuntimeError: injected failure"}
     rest = {(v, r) for v in MODEL_VARIANTS for r in REPRESENTATIONS} - {("gitsr", "scene_centric")}
@@ -523,3 +529,4 @@ def test_ablate_records_a_failing_cell_and_finishes_the_grid(tmp_path, capsys, m
     for variant, representation in rest:
         assert (out / variant / representation / "seed_1" / "checkpoints" / "final"
                 / "params.bin").is_file()
+        assert not (out / variant / representation / "error.txt").exists()

@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import scenario
-from ramplab.config import ExperimentConfig
+from _helpers import scenario, small_experiment
+from ramplab.config import MODEL_VARIANTS, ExperimentConfig
+from ramplab.network import build_network
 from ramplab.replay import Batch, ReplayBuffer
-from ramplab.representation import (
-    StateBatch,
-    StateSnapshot,
-    build_state,
-    grid_rows,
-    stack_states,
-)
+from ramplab.representation import StateBatch, StateSnapshot, grid_rows, stack_states
 from ramplab.simulation import ActionCommand, episode_done, reset, step
 from ramplab.trainer import Trainer
 
@@ -82,43 +77,50 @@ def test_capacity_one_ring():
 
 @pytest.mark.parametrize("representation", ["scene_centric", "agent_centric"])
 def test_sampled_states_equal_build_state_bit_for_bit(representation):
-    """The rings (one scene grid per scene-centric state, bool adjacency)
-    give back exactly what build_state made, and the grid rows the networks
-    read from them, including states with inactive CAVs and terminal states
-    with none left."""
+    """For every variant, the rings (grid cells, one scene grid per
+    scene-centric state, bool adjacency) give back exactly what the network
+    observed, and the grid rows it reads from them, including states with
+    inactive CAVs and terminal states with none left, after the ring has
+    wrapped and with terminal states held in the side store."""
     config = scenario(n_cav=3, n_hdv=4, max_steps=40)
-    n_episodes = 6
-    buf = ReplayBuffer(n_episodes * config.max_steps, 0)
-    rng = np.random.default_rng(0)
-    stored = []
-    for seed in range(n_episodes):
-        world = reset(config, seed)
-        snap = build_state(world, config, representation)
-        while not episode_done(world, config):
-            step(world, {vid: ActionCommand.from_index(int(rng.integers(9)))
-                         for vid in world.active_cav_ids()}, config)
-            snap_next = build_state(world, config, representation)
-            buf.add(snap, np.zeros(3, dtype=np.int64), float(len(stored)), snap_next,
-                    episode_done(world, config))
-            stored.append((snap, snap_next))
-            snap = snap_next
-    alive = np.array([s.alive for s, _ in stored])
-    assert alive.all(axis=1).any() and not alive.all()
-    assert not np.array([n.alive for _, n in stored]).any(axis=1).all()
+    for variant in MODEL_VARIANTS:
+        net = build_network(small_experiment(model_variant=variant, representation=representation,
+                                             scenario=config), 0)
+        rng = np.random.default_rng(0)
+        stored = []
+        for seed in range(6):
+            world = reset(config, seed)
+            snap = net.observe(world, config)
+            while not episode_done(world, config):
+                step(world, {vid: ActionCommand.from_index(int(rng.integers(9)))
+                             for vid in world.active_cav_ids()}, config)
+                snap_next = net.observe(world, config)
+                stored.append((snap, snap_next, episode_done(world, config)))
+                snap = snap_next
+        capacity = 2 * len(stored) // 3
+        buf = ReplayBuffer(capacity, 0)
+        for tag, (snap, snap_next, done) in enumerate(stored):
+            buf.add(snap, np.zeros(3, dtype=np.int64), float(tag), snap_next, done)
+        kept = stored[-capacity:]
+        alive = np.array([s.alive for s, _, _ in kept])
+        assert alive.all(axis=1).any() and not alive.all()
+        assert not np.array([n.alive for _, n, _ in kept]).any(axis=1).all()
+        assert buf._side
 
-    batch = buf.sample(len(stored))
-    for b, tag in enumerate(batch.reward):
-        for got, snap in ((batch.s, stored[int(tag)][0]), (batch.s_next, stored[int(tag)][1])):
-            assert got.sr[b].dtype == snap.sr.dtype
-            assert got.sr[b].tobytes() == snap.sr.tobytes()
-            rows = grid_rows(stack_states([snap]))
-            got_rows = grid_rows(got).reshape(len(got.sr), *rows.shape)
-            assert got_rows[b].tobytes() == rows.tobytes()
-            assert got.features[b].tobytes() == snap.features.tobytes()
-            assert got.adjacency[b].dtype == snap.adjacency.dtype == bool
-            assert got.adjacency[b].tobytes() == snap.adjacency.tobytes()
-            np.testing.assert_array_equal(got.alive[b], snap.alive)
-            np.testing.assert_array_equal(got.cav_ids[b], snap.cav_ids)
+        batch = buf.sample(capacity)
+        for b, tag in enumerate(batch.reward):
+            snap, snap_next, _ = stored[int(tag)]
+            for got, want in ((batch.s, snap), (batch.s_next, snap_next)):
+                for f in dataclasses.fields(StateBatch):
+                    if getattr(want, f.name) is None:
+                        assert getattr(got, f.name) is None, (variant, f.name)
+                        continue
+                    a, w = getattr(got, f.name)[b], np.asarray(getattr(want, f.name))
+                    assert (a.dtype, a.shape, a.tobytes()) == (w.dtype, w.shape, w.tobytes()), \
+                        (variant, f.name)
+                rows = grid_rows(stack_states([want]))
+                got_rows = grid_rows(got).reshape(len(got.sr), *rows.shape)
+                assert got_rows[b].tobytes() == rows.tobytes()
 
 
 class TwoRingReplay:
@@ -159,11 +161,14 @@ class TwoRingReplay:
 
 
 def random_snapshot(rng: np.random.Generator) -> StateSnapshot:
+    # grids of 0-6 cells, some -0.0, against K = 2 rows x 1 vehicle, so the
+    # cell rings are re-laid at random points of a run
+    sr = rng.standard_normal((2, 3)) * rng.choice([0.0, -0.0, 1.0], size=(2, 3))
     return StateSnapshot(
-        sr=rng.standard_normal((2, 3)).astype(np.float32),
+        sr=sr.astype(np.float32),
         features=rng.standard_normal((3, 2)).astype(np.float32),
         adjacency=rng.random((3, 3)) < 0.5,
-        mask=np.ones(3, dtype=np.float32),
+        mask=np.ones(1, dtype=np.float32),
         cav_ids=tuple(int(i) for i in rng.integers(0, 9, size=2)),
         alive=rng.random(2) < 0.5,
     )
@@ -176,6 +181,9 @@ def assert_batches_equal(got: Batch, want: Batch) -> None:
     for end in ("s", "s_next"):
         for f in dataclasses.fields(StateBatch):
             a, b = getattr(getattr(got, end), f.name), getattr(getattr(want, end), f.name)
+            if b is None:
+                assert a is None, (end, f.name)
+                continue
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (end, f.name)
 
 
@@ -219,6 +227,38 @@ def test_one_ring_batches_equal_the_two_ring_reference(capacity, seed, ops):
     assert len(buf._side) == sum(not continued[k + 1] for k in live)
 
 
+def test_grids_denser_than_k_or_with_signed_zeros_sample_back_bit_for_bit():
+    """K starts at rows x vehicles, 4 cells for the 2 x 3 stub grid.  Cells
+    are picked by bit pattern, so -0.0 and subnormals come back as stored,
+    and a state with more cells than K re-lays the cell rings and the side
+    entries already held; every batch equals the two-ring reference."""
+    tiny = np.float32(1e-45)    # the smallest subnormal
+    grids = [
+        np.zeros((2, 3)),
+        [[-0.0, 0, 0], [0, 0, 0]],
+        [[tiny, -tiny, 0], [0, -0.0, 1]],
+        [[0, 0, 2.5], [0, 0, 0]],
+        [[0, -0.0, 0], [1e-40, 0, 0]],
+        np.full((2, 3), -0.0),
+        [[1, 2, 3], [4, -5, 6]],
+        [[0, 0, 0], [0, 0, -tiny]],
+    ]
+    snaps = [dataclasses.replace(stub_snapshot(0), sr=np.array(g, dtype=np.float32))
+             for g in grids]
+    # (s, s_next) per add; an s that is not the previous s_next sends that
+    # s_next to the side store
+    adds = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 0), (2, 6), (6, 5), (0, 3)]
+    buf, ref = ReplayBuffer(4, 5), TwoRingReplay(4, 5)
+    for k, (i, j) in enumerate(adds):
+        for b in (buf, ref):
+            b.add(snaps[i], np.array([k, k]), float(k), snaps[j], k % 3 == 2)
+        if k == 3:
+            assert buf._states["sr_cells"].shape == (5, 6)
+            assert [len(e["sr_cells"]) for e in buf._side.values()] == [6]
+        assert_batches_equal(buf.sample(len(buf)), ref.sample(len(buf)))
+    assert buf._side
+
+
 def test_trainer_replay_stores_one_snapshot_per_transition():
     """Past capacity, a default-scenario gitsr buffer holds one state slot
     per transition plus one, and 41 B of actions, reward and done; only
@@ -244,3 +284,29 @@ def test_trainer_replay_stores_one_snapshot_per_transition():
     displaced_terminals = int(buf._done.sum() - buf._done[newest])
     assert displaced_terminals > 0
     assert len(buf._side) == displaced_terminals
+
+
+@pytest.mark.parametrize("variant, representation, bound", [
+    ("gitsr", "agent_centric", 1169),
+    ("madqn", "scene_centric", 721),
+])
+def test_ring_bytes_per_transition(variant, representation, bound):
+    """Ring bytes per stored transition at the default scenario: ring
+    ``nbytes`` over capacity, less the one extra state slot.  The grid
+    rings hold K = rows x vehicles cells a state (2-byte indices and
+    float32 values), against 2448 B (agent-centric) and 2412 B
+    (scene-centric) of dense grid."""
+    cfg = dataclasses.replace(ExperimentConfig(), model_variant=variant,
+                              representation=representation)
+    capacity = 1000
+    cfg = dataclasses.replace(cfg, training=dataclasses.replace(
+        cfg.training, warmup_steps=10 ** 9, buffer_capacity=capacity))
+    trainer = Trainer(cfg, seed=0)
+    trainer.run_episode()
+    buf = trainer.buffer
+    k = {"agent_centric": cfg.scenario.n_cav, "scene_centric": 1}[representation] * 14
+    assert buf._states["sr_cells"].shape == buf._states["sr_values"].shape == (capacity + 1, k)
+    state_slot = sum(ring[0].nbytes for ring in buf._states.values())
+    ring_bytes = (sum(ring.nbytes for ring in buf._states.values())
+                  + buf._actions.nbytes + buf._reward.nbytes + buf._done.nbytes)
+    assert (ring_bytes - state_slot) / capacity <= bound

@@ -531,19 +531,24 @@ def test_rollout_snapshots_the_terminal_state_only_for_on_step(monkeypatch):
 @pytest.mark.parametrize("variant", MODEL_VARIANTS)
 def test_replay_rings_take_the_layout_of_the_observed_state(variant):
     """After one episode the rings hold one array per field the network
-    observes, shaped and typed as build_state makes it, with capacity + 1
-    state slots: s and s_next share them."""
+    observes, shaped and typed as build_state makes it, except the grid,
+    which is held as K = rows x vehicles cell indices and float32 values;
+    every state ring has capacity + 1 slots: s and s_next share them."""
     cfg = small_experiment(model_variant=variant)
     trainer = Trainer(cfg, seed=2)
     trainer.run_episode()
     full = build_state(reset(cfg.scenario, 0), cfg.scenario, cfg.representation)
     unread = {"gitsr": set(), "madqn": {"adjacency"},
               "madqn_transformer": {"features", "adjacency"}}[variant]
+    slots = cfg.training.buffer_capacity + 1
     want = {}
     for f in dataclasses.fields(StateBatch):
-        if f.name not in unread:
+        if f.name not in unread | {"sr"}:
             value = np.asarray(getattr(full, f.name))
-            want[f.name] = ((cfg.training.buffer_capacity + 1, *value.shape), value.dtype)
+            want[f.name] = ((slots, *value.shape), value.dtype)
+    k = full.sr.shape[0] * len(full.mask)
+    want["sr_cells"] = ((slots, k), np.dtype(np.uint16))
+    want["sr_values"] = ((slots, k), full.sr.dtype)
     rings = trainer.buffer._states
     assert {name: (ring.shape, ring.dtype) for name, ring in rings.items()} == want
     if variant == "gitsr":

@@ -9,10 +9,15 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_trend_check.py"
 
 
-def test_trend_check_writes_its_report_and_metrics(tmp_path, capsys):
+def load_script():
     spec = importlib.util.spec_from_file_location("run_trend_check", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_trend_check_writes_its_report_and_metrics(tmp_path, capsys):
+    script = load_script()
     code = script.main(["--episodes", "2", "--seeds", "0", "--window", "1",
                         "--out", str(tmp_path)])
     assert code == 0
@@ -30,3 +35,15 @@ def test_trend_check_writes_its_report_and_metrics(tmp_path, capsys):
         summary = json.loads((arm / "summary.json").read_text())
         assert summary["seeds"] == [0]
         assert (arm / "seed_0" / "checkpoints" / "final" / "params.bin").is_file()
+
+
+def test_trend_check_reports_a_bad_config_in_one_error_line(tmp_path, capsys):
+    """A config error (here repeated seeds) exits 2 with the CLI's one-line
+    ``error:`` on stderr, no traceback, and nothing written."""
+    out = tmp_path / "trend"
+    code = load_script().main(["--episodes", "2", "--seeds", "0", "0", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seeds must be distinct"]
+    assert not out.exists()
