@@ -50,6 +50,8 @@ def main(argv=None) -> int:
     cfgs = [dataclasses.replace(scaled_config(variant, args.episodes), seeds=args.seeds,
                                 output_dir=str(out_dir / variant)) for variant in ARMS]
     try:
+        if args.window < 1:
+            raise ConfigError(f"window must be >= 1, got {args.window}")
         for cfg in cfgs:
             cfg.validate()
     except ConfigError as exc:

@@ -61,16 +61,12 @@ def explore_draws(n_rows: int, eps: float, rng: np.random.Generator | None) -> n
     return out
 
 
-def select_actions(
-    q: np.ndarray, eps: float, rng: np.random.Generator | None = None,
-    drawn: np.ndarray | None = None,
-) -> np.ndarray:
-    """Independent epsilon-greedy pick per Q row, from ``explore_draws``
-    (or those already ``drawn``); greedy ties go to the lowest index."""
+def select_actions(q: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """Epsilon-greedy pick per Q row from its ``explore_draws`` draw: the
+    action drawn, or the greedy one where none was; greedy ties go to the
+    lowest index."""
     if not np.isfinite(q).all():
         raise TrainingError("non-finite Q values passed to action selection")
-    if drawn is None:
-        drawn = explore_draws(q.shape[0], eps, rng)
     return np.where(drawn < 0, np.argmax(q, axis=1), drawn)
 
 
@@ -246,10 +242,9 @@ class Trainer:
         else:
             # the draws come first, so the network runs only if an active
             # CAV acts greedily
-            eps = self.current_epsilon()
-            chosen = explore_draws(snap.n_cavs, eps, self.explore_rng)
+            chosen = explore_draws(snap.n_cavs, self.current_epsilon(), self.explore_rng)
             if (chosen[alive] < 0).any():
-                chosen = select_actions(self.net.q_values(snap), eps, drawn=chosen)
+                chosen = select_actions(self.net.q_values(snap), chosen)
             actions[alive] = chosen[alive]
         return actions
 

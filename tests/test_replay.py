@@ -15,9 +15,10 @@ from ramplab.trainer import Trainer
 
 
 def stub_snapshot(tag: int) -> StateSnapshot:
+    # three vehicles: K = 2 grid rows x 3 = 6, room for the full 2 x 3 grid
     return StateSnapshot(
         sr=np.full((2, 3), tag, dtype=np.float32), features=None, adjacency=None,
-        mask=np.ones(2, dtype=np.float32), cav_ids=(0, 1), alive=np.array([True, True]),
+        mask=np.ones(3, dtype=np.float32), cav_ids=(0, 1), alive=np.array([True, True]),
     )
 
 
@@ -25,14 +26,20 @@ def stub_buffer(capacity: int, seed: int) -> ReplayBuffer:
     return ReplayBuffer(capacity, seed)
 
 
-def add_stub(buf: ReplayBuffer, tag: int) -> None:
-    buf.add(stub_snapshot(tag), np.array([4, 4]), float(tag), stub_snapshot(tag + 1), False)
+def add_episode(buf: ReplayBuffer, first: int, n: int, done: bool = False) -> None:
+    """Transitions tag -> tag + 1 with reward tag, for tags first to
+    first + n - 1, each s the previous s_next object; ``done`` ends the
+    last one."""
+    s = stub_snapshot(first)
+    for tag in range(first, first + n):
+        s_next = stub_snapshot(tag + 1)
+        buf.add(s, np.array([4, 4]), float(tag), s_next, done and tag == first + n - 1)
+        s = s_next
 
 
 def test_grows_then_overwrites_oldest():
     buf = stub_buffer(capacity=3, seed=0)
-    for tag in range(5):
-        add_stub(buf, tag)
+    add_episode(buf, 0, 5)
     assert len(buf) == 3
     batch = buf.sample(3)
     assert set(batch.reward) == {2.0, 3.0, 4.0}
@@ -43,15 +50,14 @@ def test_grows_then_overwrites_oldest():
 
 def test_sample_without_replacement():
     buf = stub_buffer(capacity=10, seed=1)
-    for tag in range(10):
-        add_stub(buf, tag)
+    add_episode(buf, 0, 10)
     batch = buf.sample(10)
     assert len(set(batch.reward)) == 10
 
 
 def test_sample_more_than_stored_raises():
     buf = stub_buffer(capacity=4, seed=2)
-    add_stub(buf, 0)
+    add_episode(buf, 0, 1)
     with pytest.raises(ValueError):
         buf.sample(2)
 
@@ -59,8 +65,7 @@ def test_sample_more_than_stored_raises():
 def test_sampling_is_seed_deterministic():
     def draws(seed):
         buf = stub_buffer(capacity=50, seed=seed)
-        for tag in range(50):
-            add_stub(buf, tag)
+        add_episode(buf, 0, 50)
         return list(buf.sample(5).reward) + list(buf.sample(5).reward)
 
     assert draws(7) == draws(7)
@@ -69,8 +74,8 @@ def test_sampling_is_seed_deterministic():
 
 def test_capacity_one_ring():
     buf = stub_buffer(capacity=1, seed=3)
-    add_stub(buf, 0)
-    add_stub(buf, 9)
+    add_episode(buf, 0, 1, done=True)
+    add_episode(buf, 9, 1)
     assert len(buf) == 1
     assert buf.sample(1).reward[0] == 9.0
 
@@ -80,8 +85,8 @@ def test_sampled_states_equal_build_state_bit_for_bit(representation):
     """For every variant, the rings (grid cells, one scene grid per
     scene-centric state, bool adjacency) give back exactly what the network
     observed, and the grid rows it reads from them, including states with
-    inactive CAVs and terminal states with none left, after the ring has
-    wrapped and with terminal states held in the side store."""
+    inactive CAVs, after the ring has wrapped over several episodes.  On a
+    terminal row ``s_next`` is unspecified and not compared."""
     config = scenario(n_cav=3, n_hdv=4, max_steps=40)
     for variant in MODEL_VARIANTS:
         net = build_network(small_experiment(model_variant=variant, representation=representation,
@@ -104,13 +109,13 @@ def test_sampled_states_equal_build_state_bit_for_bit(representation):
         kept = stored[-capacity:]
         alive = np.array([s.alive for s, _, _ in kept])
         assert alive.all(axis=1).any() and not alive.all()
-        assert not np.array([n.alive for _, n, _ in kept]).any(axis=1).all()
-        assert buf._side
+        assert 1 < sum(done for _, _, done in kept) < capacity
 
         batch = buf.sample(capacity)
         for b, tag in enumerate(batch.reward):
-            snap, snap_next, _ = stored[int(tag)]
-            for got, want in ((batch.s, snap), (batch.s_next, snap_next)):
+            snap, snap_next, done = stored[int(tag)]
+            ends = ((batch.s, snap),) if done else ((batch.s, snap), (batch.s_next, snap_next))
+            for got, want in ends:
                 for f in dataclasses.fields(StateBatch):
                     if getattr(want, f.name) is None:
                         assert getattr(got, f.name) is None, (variant, f.name)
@@ -161,30 +166,32 @@ class TwoRingReplay:
 
 
 def random_snapshot(rng: np.random.Generator) -> StateSnapshot:
-    # grids of 0-6 cells, some -0.0, against K = 2 rows x 1 vehicle, so the
-    # cell rings are re-laid at random points of a run
+    # grids of 0-6 cells, some -0.0, against K = 2 rows x 3 vehicles
     sr = rng.standard_normal((2, 3)) * rng.choice([0.0, -0.0, 1.0], size=(2, 3))
     return StateSnapshot(
         sr=sr.astype(np.float32),
         features=rng.standard_normal((3, 2)).astype(np.float32),
         adjacency=rng.random((3, 3)) < 0.5,
-        mask=np.ones(1, dtype=np.float32),
+        mask=np.ones(3, dtype=np.float32),
         cav_ids=tuple(int(i) for i in rng.integers(0, 9, size=2)),
         alive=rng.random(2) < 0.5,
     )
 
 
 def assert_batches_equal(got: Batch, want: Batch) -> None:
+    """Byte for byte, except ``s_next`` on terminal rows, which is
+    unspecified."""
     for name in ("actions", "reward", "done"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    for end in ("s", "s_next"):
+    for end, rows in (("s", slice(None)), ("s_next", ~want.done)):
         for f in dataclasses.fields(StateBatch):
             a, b = getattr(getattr(got, end), f.name), getattr(getattr(want, end), f.name)
             if b is None:
                 assert a is None, (end, f.name)
                 continue
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (end, f.name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (end, f.name)
+            assert a[rows].tobytes() == b[rows].tobytes(), (end, f.name)
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,11 +205,12 @@ def assert_batches_equal(got: Batch, want: Batch) -> None:
 def test_one_ring_batches_equal_the_two_ring_reference(capacity, seed, ops):
     """Random adds whose s continues the previous s_next, equals it in a new
     object, or is unrelated, with random done flags: every batch equals the
-    two-ring reference's byte for byte, and the RNG is consumed alike."""
+    two-ring reference's (terminal rows' s_next aside), and the RNG is
+    consumed alike.  An s that is not the previous s_next object after a
+    non-terminal transition is refused and leaves the buffer as it was."""
     rng = np.random.default_rng(seed)
     buf, ref = ReplayBuffer(capacity, seed), TwoRingReplay(capacity, seed)
-    s_next = None
-    continued = []      # whether add k's s was the previous s_next object
+    s_next, was_done = None, False
     for kind, done, n_sample in ops:
         if s_next is None or kind == "unrelated":
             s = random_snapshot(rng)
@@ -212,26 +220,26 @@ def test_one_ring_batches_equal_the_two_ring_reference(capacity, seed, ops):
                                                                    "mask", "alive")})
         else:
             s = s_next
-        continued.append(s is s_next)
-        s_next = random_snapshot(rng)
+        new_next = random_snapshot(rng)
         actions = rng.integers(0, 9, size=2)
         reward = float(rng.standard_normal())
-        for b in (buf, ref):
-            b.add(s, actions, reward, s_next, done)
+        if s_next is not None and s is not s_next and not was_done:
+            with pytest.raises(ValueError, match="previous s_next"):
+                buf.add(s, actions, reward, new_next, done)
+        else:
+            for b in (buf, ref):
+                b.add(s, actions, reward, new_next, done)
+            s_next, was_done = new_next, done
         if 0 < n_sample <= len(buf):
             assert_batches_equal(buf.sample(n_sample), ref.sample(n_sample))
     assert_batches_equal(buf.sample(len(buf)), ref.sample(len(buf)))
     assert buf._rng.bit_generator.state == ref._rng.bit_generator.state
-    # a side entry per live transition whose successor did not continue it
-    live = range(max(0, len(continued) - capacity), len(continued) - 1)
-    assert len(buf._side) == sum(not continued[k + 1] for k in live)
 
 
-def test_grids_denser_than_k_or_with_signed_zeros_sample_back_bit_for_bit():
-    """K starts at rows x vehicles, 4 cells for the 2 x 3 stub grid.  Cells
-    are picked by bit pattern, so -0.0 and subnormals come back as stored,
-    and a state with more cells than K re-lays the cell rings and the side
-    entries already held; every batch equals the two-ring reference."""
+def test_grids_with_signed_zeros_or_subnormals_sample_back_bit_for_bit():
+    """Cells are picked by bit pattern, so -0.0 and subnormals come back as
+    stored, up to a grid whose every cell is set (K = 6 for the stub);
+    every batch equals the two-ring reference."""
     tiny = np.float32(1e-45)    # the smallest subnormal
     grids = [
         np.zeros((2, 3)),
@@ -245,24 +253,58 @@ def test_grids_denser_than_k_or_with_signed_zeros_sample_back_bit_for_bit():
     ]
     snaps = [dataclasses.replace(stub_snapshot(0), sr=np.array(g, dtype=np.float32))
              for g in grids]
-    # (s, s_next) per add; an s that is not the previous s_next sends that
-    # s_next to the side store
+    # (s, s_next) per add; an add is terminal when the next add's s is not
+    # its s_next, and that s is then written over the terminal s_next
     adds = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 0), (2, 6), (6, 5), (0, 3)]
     buf, ref = ReplayBuffer(4, 5), TwoRingReplay(4, 5)
     for k, (i, j) in enumerate(adds):
+        done = k + 1 < len(adds) and adds[k + 1][0] != j
         for b in (buf, ref):
-            b.add(snaps[i], np.array([k, k]), float(k), snaps[j], k % 3 == 2)
-        if k == 3:
-            assert buf._states["sr_cells"].shape == (5, 6)
-            assert [len(e["sr_cells"]) for e in buf._side.values()] == [6]
+            b.add(snaps[i], np.array([k, k]), float(k), snaps[j], done)
         assert_batches_equal(buf.sample(len(buf)), ref.sample(len(buf)))
-    assert buf._side
+    assert buf._states["sr_cells"].shape == (5, 6)
+
+
+def buffer_contents(buf: ReplayBuffer) -> tuple:
+    rings = [buf._states, {"actions": buf._actions, "reward": buf._reward, "done": buf._done}]
+    return (buf._adds, id(buf._last_next), buf._rng.bit_generator.state,
+            [(name, ring.tobytes()) for group in rings for name, ring in group.items()])
+
+
+@pytest.mark.parametrize("case", ["s_next too dense", "fresh s too dense",
+                                  "fresh s_next too dense", "s does not continue"])
+def test_add_refuses_before_writing_anything(case):
+    """A grid with more than K occupied cells, or an s that is neither the
+    previous s_next object nor the first state after a terminal transition,
+    raises ValueError and leaves every ring, counter and the RNG as they
+    were."""
+    def snap(tag, n_cells=1):
+        # one vehicle: K = 2 grid rows x 1
+        sr = np.zeros((2, 3), dtype=np.float32)
+        sr.flat[:n_cells] = tag
+        return dataclasses.replace(stub_snapshot(tag), sr=sr, mask=np.ones(1, dtype=np.float32))
+
+    terminal = case != "s does not continue"
+    buf = stub_buffer(capacity=3, seed=4)
+    s = snap(1)
+    for tag in range(2, 7):     # the ring wraps
+        s_next = snap(tag)
+        buf.add(s, np.array([tag, tag]), float(tag), s_next, terminal and tag == 6)
+        s = s_next
+    s, s_next = {"s_next too dense": (s, snap(9, 3)), "fresh s too dense": (snap(9, 3), snap(7)),
+                 "fresh s_next too dense": (snap(7), snap(9, 3)),
+                 "s does not continue": (snap(7), snap(8))}[case]
+    before = buffer_contents(buf)
+    with pytest.raises(ValueError, match="3 occupied cells, more than K = 2" if terminal
+                       else "previous s_next"):
+        buf.add(s, np.array([1, 1]), 1.0, s_next, False)
+    assert buffer_contents(buf) == before
 
 
 def test_trainer_replay_stores_one_snapshot_per_transition():
-    """Past capacity, a default-scenario gitsr buffer holds one state slot
-    per transition plus one, and 41 B of actions, reward and done; only
-    terminal states that a later add displaced sit in the side store."""
+    """Past capacity and over several episodes, a default-scenario gitsr
+    buffer holds one state slot per transition plus one, and 41 B of
+    actions, reward and done."""
     cfg = ExperimentConfig()
     capacity = 100
     cfg = dataclasses.replace(cfg, training=dataclasses.replace(
@@ -280,10 +322,7 @@ def test_trainer_replay_stores_one_snapshot_per_transition():
     ring_bytes = (sum(ring.nbytes for ring in buf._states.values())
                   + buf._actions.nbytes + buf._reward.nbytes + buf._done.nbytes)
     assert ring_bytes <= capacity * (snapshot_bytes + per_transition) + snapshot_bytes
-    newest = (buf._adds - 1) % capacity
-    displaced_terminals = int(buf._done.sum() - buf._done[newest])
-    assert displaced_terminals > 0
-    assert len(buf._side) == displaced_terminals
+    assert buf._done.sum() > 1
 
 
 @pytest.mark.parametrize("variant, representation, bound", [

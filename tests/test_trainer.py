@@ -26,6 +26,7 @@ from ramplab.trainer import (
     _episode_outcome_stats,
     epsilon,
     evaluate_policy,
+    explore_draws,
     greedy_actions,
     metrics_csv_row,
     rollout,
@@ -60,20 +61,20 @@ def test_epsilon_never_increases(a, b):
 def test_select_actions_greedy_and_tie_break():
     q = np.array([[0.0, 5.0, 5.0, 0, 0, 0, 0, 0, 0],
                   [9.0, 0.0, 0, 0, 0, 0, 0, 0, 0]])
-    picked = select_actions(q, eps=0.0)
+    picked = select_actions(q, explore_draws(len(q), 0.0, None))
     np.testing.assert_array_equal(picked, [1, 0])
 
 
 def test_select_actions_rejects_non_finite():
     q = np.full((1, 9), np.nan)
     with pytest.raises(TrainingError):
-        select_actions(q, eps=0.0)
+        select_actions(q, explore_draws(len(q), 0.0, None))
 
 
 def test_select_actions_full_exploration_is_uniform():
     rng = np.random.default_rng(123)
     q = np.zeros((100_000, 9))
-    draws = select_actions(q, eps=1.0, rng=rng)
+    draws = select_actions(q, explore_draws(len(q), 1.0, rng))
     counts = np.bincount(draws, minlength=9)
     expected = len(draws) / 9
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -84,7 +85,7 @@ def test_select_actions_partial_exploration_mixes():
     rng = np.random.default_rng(5)
     q = np.zeros((10_000, 9))
     q[:, 3] = 1.0
-    draws = select_actions(q, eps=0.5, rng=rng)
+    draws = select_actions(q, explore_draws(len(q), 0.5, rng))
     frac_greedy = float(np.mean(draws == 3))
     # greedy picks plus the 1/9 of random picks that land on 3
     assert frac_greedy == pytest.approx(0.5 + 0.5 / 9, abs=0.03)
@@ -323,6 +324,32 @@ def test_vectorised_learner_matches_per_cav_loops(variant):
         assert loss == loop_train_on_batch(batch, twin, target, twin_opt, gamma=0.9)
         for (name, p), (_, q) in zip(net.store.items(), twin.store.items()):
             assert p.data.tobytes() == q.data.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_td_targets_ignore_s_next_on_terminal_rows(variant):
+    """Replay leaves a terminal row's s_next unspecified: the next episode's
+    first state may overwrite it.  Replacing every terminal row's s_next
+    with an unrelated state, whose CAVs are active or not, leaves the
+    targets byte-identical."""
+    cfg = small_experiment(model_variant=variant)
+    target = build_network(cfg, seed=14)
+    rng = np.random.default_rng(15)
+    s = stack_states(rollout_snaps(cfg, 8))
+    actions, reward = np.zeros(s.alive.shape, dtype=np.int64), rng.normal(size=8)
+    done = np.array([True, False, True, True, False, False, True, False])
+    s_next = rollout_snaps(cfg, 8, seed0=20)
+    unrelated = [dataclasses.replace(snap, alive=rng.random(snap.n_cavs) < 0.5)
+                 for snap in rollout_snaps(cfg, 8, seed0=40)]
+    replaced = [u if d else n for u, n, d in zip(unrelated, s_next, done)]
+    assert stack_states(replaced).sr.tobytes() != stack_states(s_next).sr.tobytes()
+
+    def targets(ends):
+        return td_targets(Batch(s, actions, reward, stack_states(ends), done), target, gamma=0.9)
+
+    y = targets(s_next)
+    assert (y != reward[:, None]).any()     # some rows bootstrap
+    assert y.tobytes() == targets(replaced).tobytes()
 
 
 def test_update_target_copies_then_goes_stale():

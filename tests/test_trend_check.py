@@ -38,12 +38,16 @@ def test_trend_check_writes_its_report_and_metrics(tmp_path, capsys):
 
 
 def test_trend_check_reports_a_bad_config_in_one_error_line(tmp_path, capsys):
-    """A config error (here repeated seeds) exits 2 with the CLI's one-line
-    ``error:`` on stderr, no traceback, and nothing written."""
+    """A config error (repeated seeds, or a window of under one episode)
+    exits 2 with the CLI's one-line ``error:`` on stderr, no traceback, and
+    nothing written."""
     out = tmp_path / "trend"
-    code = load_script().main(["--episodes", "2", "--seeds", "0", "0", "--out", str(out)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: seeds must be distinct"]
-    assert not out.exists()
+    for argv, message in ((["--seeds", "0", "0"], "seeds must be distinct"),
+                          (["--window", "0"], "window must be >= 1, got 0"),
+                          (["--window", "-3"], "window must be >= 1, got -3")):
+        code = load_script().main(["--episodes", "2", "--out", str(out), *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
