@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ramplab.config import ConfigError, EpsilonConfig, ExperimentConfig, TrainingConfig
-from ramplab.runs import train_cell
+from ramplab.runs import keep_freed_heap, train_cell
 
 ARMS = ("gitsr", "madqn")
 
@@ -45,6 +45,7 @@ def main(argv=None) -> int:
                         help="final episodes averaged per run")
     parser.add_argument("--out", default="runs/trend")
     args = parser.parse_args(argv)
+    keep_freed_heap()
 
     out_dir = Path(args.out)
     cfgs = [dataclasses.replace(scaled_config(variant, args.episodes), seeds=args.seeds,

@@ -2,11 +2,12 @@
 
 Every operation builds a node holding its inputs and a vector-Jacobian
 closure; :func:`backward` walks the graph once in reverse topological order
-and accumulates gradients into ``.grad`` slots.  Only what the encoders and
-the Q head need is implemented, and every tensor stays dense 2-D, which
-keeps each rule a few lines of numpy.  A batch of B scenes is B equal row
-blocks stacked scene-major; :func:`scene_attention` and :func:`scene_matmul`
-view those blocks as a leading batch axis internally, so scenes never mix;
+and accumulates gradients into ``.grad`` slots.  Only what the encoders,
+the Q head and the TD loss (:func:`squared_error_at`) need is implemented,
+and every tensor stays dense 2-D, which keeps each rule a few lines of
+numpy.  A batch of B scenes is B equal row blocks stacked scene-major;
+:func:`scene_attention` and :func:`scene_matmul` view those blocks as a
+leading batch axis internally, so scenes never mix;
 :func:`scene_matmul`'s mixer may return fewer rows per scene than it reads,
 and :func:`scene_attention` may take a key mask and the masked-in rows only.
 
@@ -124,13 +125,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(y, "dense", (x, w, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return g, -g
-
-    return _node(a.data - b.data, "sub", (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch {a.data.shape} vs {b.data.shape}")
@@ -139,13 +133,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return g * b.data, g * a.data
 
     return _node(a.data * b.data, "mul", (a, b), vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    def vjp(g):
-        return (g * c,)
-
-    return _node(a.data * c, "scale", (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -257,41 +244,23 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
                  vjp)
 
 
-def _scatter(like: np.ndarray, index: tuple, g: np.ndarray) -> np.ndarray:
-    """Zeros like ``like`` with the rows of ``g`` added at ``index``.
-
-    Distinct positions take a plain assignment, far cheaper than
-    ``np.add.at``; ``+ 0`` turns -0.0 into +0.0, as adding onto a zero
-    does.  Distinctness is counted on a boolean mark, which is cheaper than
-    a sort."""
-    out = np.zeros_like(like)
-    seen = np.zeros(like.shape[:len(index)], dtype=bool)
-    seen[index] = True
-    if np.count_nonzero(seen) == len(g):
-        out[index] = g + 0
-    else:
-        np.add.at(out, index, g)
-    return out
-
-
 def select_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     indices = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        return (_scatter(a.data, (indices,), g),)
+        # Distinct rows take a plain assignment, far cheaper than
+        # np.add.at; + 0 turns -0.0 into +0.0, as adding onto a zero does.
+        # Distinctness is counted on a boolean mark, cheaper than a sort.
+        out = np.zeros_like(a.data)
+        seen = np.zeros(len(a.data), dtype=bool)
+        seen[indices] = True
+        if np.count_nonzero(seen) == len(g):
+            out[indices] = g + 0
+        else:
+            np.add.at(out, indices, g)
+        return (out,)
 
     return _node(a.data[indices].copy(), "select_rows", (a,), vjp)
-
-
-def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Pick scalar entries (rows[i], cols[i]) into a (k, 1) column."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-
-    def vjp(g):
-        return (_scatter(a.data, (rows, cols), g[:, 0]),)
-
-    return _node(a.data[rows, cols][:, None].copy(), "gather", (a,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -301,8 +270,23 @@ def sum_all(a: Tensor) -> Tensor:
     return _node(a.data.sum(dtype=a.data.dtype).reshape(1, 1), "sum", (a,), vjp)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
+def squared_error_at(q: Tensor, cols: np.ndarray, y: np.ndarray) -> Tensor:
+    """The (1, 1) mean over rows i of ``(q[i, cols[i]] - y[i])**2``, with
+    ``y`` cast to ``q``'s dtype: a DQN loss at the taken actions.  It rounds
+    as a gather, a subtraction, a square, a sum and a scale by ``1 / n``
+    would, and so does its gradient, ``2 (q[i, cols[i]] - y[i]) / n`` at
+    those entries and zero elsewhere."""
+    rows = np.arange(len(cols))
+    d = q.data[rows, cols] - np.asarray(y, dtype=q.data.dtype)
+    c = 1.0 / len(d)   # a Python float keeps float32 float32
+
+    def vjp(g):
+        t = (g[0, 0] * c) * d
+        out = np.zeros_like(q.data)
+        out[rows, cols] = t + t + 0   # + 0 turns -0.0 into +0.0
+        return (out,)
+
+    return _node((d * d).sum(dtype=d.dtype).reshape(1, 1) * c, "squared_error_at", (q,), vjp)
 
 
 def graph_nodes(root: Tensor) -> list[Tensor]:

@@ -26,6 +26,7 @@ from ramplab.representation import feature_width, grid_width
 from ramplab.runs import (
     SUMMARY_METRICS,
     SUMMARY_WINDOW,
+    keep_freed_heap,
     metric_value,
     summarize_final_window,
     train_cell,
@@ -237,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    keep_freed_heap()
     try:
         return args.func(args)
     except (ConfigError, CheckpointError, FileNotFoundError) as exc:

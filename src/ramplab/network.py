@@ -60,7 +60,6 @@ from ramplab.representation import (
     feature_width,
     grid_rows,
     grid_width,
-    stack_states,
 )
 from ramplab.simulation import N_ACTIONS, WorldState
 
@@ -363,7 +362,14 @@ class QNetwork:
                            with_adjacency="adjacency" in self.reads)
 
     def forward(self, snap: StateSnapshot) -> Tensor:
-        return self.forward_batch(stack_states([snap]))
+        """Q rows of one snapshot, as ``forward_batch`` of a batch of one
+        whose arrays view the snapshot's where ``stack_states`` copies them."""
+        def one(name):
+            value = getattr(snap, name)
+            return None if value is None else np.asarray(value)[None]
+
+        return self.forward_batch(StateBatch(**{f.name: one(f.name)
+                                                for f in dataclasses.fields(StateBatch)}))
 
     def q_values(self, snap: StateSnapshot) -> np.ndarray:
         """Inference-only Q table (m x 9) for one snapshot."""

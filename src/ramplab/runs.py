@@ -8,7 +8,8 @@ the final-window means across seeds.  The provenance record names what
 a bit-for-bit rerun must match: the package content hash, seeds, Python and
 numpy, and the BLAS library with its thread-count variables and the thread
 count it actually runs with, since BLAS builds and thread counts may sum
-matrix products in different orders.
+matrix products in different orders.  It also records the allocator
+settings :func:`keep_freed_heap` applied.
 Floats in CSVs are written with ``repr`` so parsing them back is exact.
 """
 from __future__ import annotations
@@ -41,6 +42,15 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 OPENBLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
                            "scipy_openblas_get_num_threads64_",
                            "scipy_openblas_get_num_threads")
+# glibc's mallopt settings (malloc.h name, parameter number, value) that
+# `ramplab` runs apply: no block under 32 MiB is mmapped, and the heap is
+# trimmed only past 1 GiB of free top.  At glibc's defaults the learner's
+# temporaries go back to the kernel and are faulted in again on the next
+# step.  benchmark/run.py gives its children the same values through their
+# MALLOC_ environment.
+HEAP_SETTINGS = (("M_MMAP_THRESHOLD", -3, 32 << 20), ("M_TRIM_THRESHOLD", -1, 1 << 30))
+# What keep_freed_heap applied in this process, for run_info.json.
+heap_settings_applied: dict[str, int] = {}
 
 
 def package_content_hash() -> str:
@@ -139,6 +149,18 @@ def blas_threads() -> int | None:
     return None
 
 
+def keep_freed_heap() -> dict[str, int]:
+    """Apply :data:`HEAP_SETTINGS` through libc's ``mallopt`` and return
+    those it accepted; nothing is applied where libc has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return {}
+    for name, param, value in HEAP_SETTINGS:
+        if mallopt(param, value) == 1:
+            heap_settings_applied[name] = value
+    return dict(heap_settings_applied)
+
+
 def write_run_info(directory: str | Path, cfg_dict: dict, seeds: list[int]) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     info = {
@@ -150,6 +172,7 @@ def write_run_info(directory: str | Path, cfg_dict: dict, seeds: list[int]) -> N
         "blas": {key: blas.get(key) for key in ("name", "version")},
         "blas_threads": blas_threads(),
         "blas_threads_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "malloc": dict(heap_settings_applied),
         "seeds": seeds,
         "config": cfg_dict,
     }

@@ -16,11 +16,11 @@ import functools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ramplab.autodiff import Tensor, backward, gather, mean_all, mul, no_grad, sub
+from ramplab.autodiff import backward, no_grad, squared_error_at
 from ramplab.config import EpsilonConfig, ExperimentConfig
 from ramplab.network import QNetwork, TrainingError, build_network
 from ramplab.optim import Adam, clip_global_grad_norm
@@ -75,12 +75,15 @@ def td_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     the target network's next-state row, unless the transition ended the
     episode or the CAV was inactive at either end.  The target network runs
     only on the rows that bootstrap, and not at all if none does."""
-    bootstrap = batch.s.alive & ~batch.done[:, None] & batch.s_next.alive
+    live_next = batch.s_next.alive & ~batch.done[:, None]
+    bootstrap = batch.s.alive & live_next
     y = np.repeat(batch.reward.astype(np.float64)[:, None], bootstrap.shape[1], axis=1)
     rows = np.flatnonzero(bootstrap)
     if rows.size:
+        # a terminal row's s_next is unspecified (the replay may hold the
+        # next episode's first state there), so none of its CAVs is a token
         with no_grad():
-            q_next = target_net.forward_batch(batch.s_next, rows).data
+            q_next = target_net.forward_batch(replace(batch.s_next, alive=live_next), rows).data
         y.reshape(-1)[rows] += gamma * q_next.max(axis=1).astype(np.float64)
     return y
 
@@ -104,9 +107,7 @@ def train_on_batch(
     y = td_targets(batch, target_net, gamma)
     net.store.zero_grads()
     q = net.forward_batch(batch.s, rows)
-    pred = gather(q, np.arange(rows.size), batch.actions.reshape(-1)[rows])
-    diff = sub(pred, Tensor(y.reshape(-1)[rows].astype(net.store.dtype)[:, None]))
-    loss = mean_all(mul(diff, diff))
+    loss = squared_error_at(q, batch.actions.reshape(-1)[rows], y.reshape(-1)[rows])
     if not math.isfinite(loss.item()):
         raise TrainingError("non-finite TD loss")
     backward(loss)

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 
+from ramplab.autodiff import Tensor, _node, mul, sum_all
 from ramplab.config import ExperimentConfig, NetworkConfig, ScenarioConfig, TrainingConfig
 from ramplab.simulation import (
     ActionCommand,
@@ -72,3 +73,36 @@ def random_rollout(config: ScenarioConfig, seed: int, n_steps: int) -> WorldStat
         }
         step(world, actions, config)
     return world
+
+
+# -- the TD loss as the generic ops it was once built from ----------------
+
+
+def reference_gather(a, rows, cols):
+    """Entries (rows[i], cols[i]) as a (k, 1) column; repeated cells add up."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+
+    def vjp(g):
+        da = np.zeros_like(a.data)
+        np.add.at(da, (rows, cols), g[:, 0])
+        return (da,)
+
+    return _node(a.data[rows, cols][:, None].copy(), "gather", (a,), vjp)
+
+
+def reference_sub(a, b):
+    return _node(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
+
+
+def reference_scale(a, c):
+    return _node(a.data * c, "scale", (a,), lambda g: (g * c,))
+
+
+def reference_squared_error(q, rows, cols, y):
+    """Mean squared error of q's entries (rows[i], cols[i]) against ``y``
+    cast to q's dtype: gather, subtract, square, sum, then scale by 1 / n,
+    one tape node each."""
+    diff = reference_sub(reference_gather(q, rows, cols),
+                         Tensor(np.asarray(y, dtype=q.data.dtype)[:, None]))
+    return reference_scale(sum_all(mul(diff, diff)), 1.0 / len(diff.data))

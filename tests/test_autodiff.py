@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from _helpers import reference_squared_error
 from ramplab import autodiff as ad
 from ramplab.network import ParamStore
 from ramplab.optim import clip_global_grad_norm
@@ -174,11 +175,9 @@ def test_backward_hands_a_shared_gradient_to_each_leaf_as_its_own_copy():
         np.testing.assert_allclose(t.grad, want[name] * (1e-3 / norm), rtol=1e-12)
 
 
-def test_add_sub_mul_scale_grads():
+def test_add_mul_grads():
     a, b = leaf((2, 3)), leaf((2, 3))
-    check_op(lambda: ad.sum_all(ad.mul(ad.add(a, b), ad.sub(a, b))), a, b)
-    c = leaf((2, 3))
-    check_op(lambda: ad.sum_all(ad.mul(ad.scale(c, -2.5), c)), c)
+    check_op(lambda: ad.sum_all(ad.mul(ad.add(a, b), b)), a, b)
 
 
 def matmul_then_bias(x, w, b):
@@ -278,19 +277,6 @@ def test_select_rows_accumulates_repeated_indices():
     np.testing.assert_allclose(a2.grad, [[0, 0], [2, 2], [0, 0]])
 
 
-def test_gather_accumulates_repeated_cells():
-    a = leaf((4, 5))
-    rows = np.array([0, 3, 0])
-    cols = np.array([4, 1, 4])
-    out = ad.gather(a, rows, cols)
-    assert out.data.shape == (3, 1)
-    np.testing.assert_allclose(out.data[:, 0], a.data[rows, cols])
-    check_op(lambda: ad.sum_all(ad.mul(ad.gather(a, rows, cols), ad.gather(a, rows, cols))), a)
-    a2 = leaf((2, 2))
-    ad.backward(ad.sum_all(ad.gather(a2, np.array([0, 0]), np.array([1, 1]))))
-    np.testing.assert_allclose(a2.grad, [[0, 2], [0, 0]])
-
-
 def test_distinct_index_scatters_match_add_at_bytes():
     # distinct indices are scattered by assignment; a -0.0 upstream gradient
     # must still land as the +0.0 that adding onto zero gives
@@ -302,27 +288,59 @@ def test_distinct_index_scatters_match_add_at_bytes():
     want = np.zeros_like(a.data)
     np.add.at(want, idx, w)
     assert a.grad.tobytes() == want.tobytes()
-    b = leaf((4, 5))
-    rows, cols = np.array([3, 0, 1, 0]), np.array([2, 2, 0, 4])
-    c = RNG.normal(size=(4, 1))
-    c[2, 0] = -0.0
-    ad.backward(ad.sum_all(ad.mul(ad.gather(b, rows, cols), ad.Tensor(c))))
-    want = np.zeros_like(b.data)
-    np.add.at(want, (rows, cols), c[:, 0])
-    assert b.grad.tobytes() == want.tobytes()
-    # a negative index naming the same cell as a positive one still adds up
-    b2 = leaf((2, 5))
-    ad.backward(ad.sum_all(ad.gather(b2, np.array([1, 1]), np.array([-1, 4]))))
-    np.testing.assert_array_equal(b2.grad, [[0, 0, 0, 0, 0], [0, 0, 0, 0, 2]])
+    # a negative index naming the same row as a positive one still adds up
+    b = leaf((3, 2))
+    ad.backward(ad.sum_all(ad.select_rows(b, np.array([-1, 2]))))
+    np.testing.assert_array_equal(b.grad, [[0, 0], [0, 0], [2, 2]])
 
 
-def test_mean_all_and_sum_all():
-    x = leaf((3, 4))
-    ad.backward(ad.mean_all(x))
-    np.testing.assert_allclose(x.grad, np.full((3, 4), 1 / 12))
+def test_sum_all_grads():
     y = leaf((3, 4))
     ad.backward(ad.sum_all(y))
     np.testing.assert_allclose(y.grad, np.ones((3, 4)))
+
+
+def test_squared_error_at_grads_with_repeated_columns():
+    q = leaf((5, 4))
+    cols = np.array([1, 3, 1, 0, 1])
+    y = RNG.normal(size=5)
+    loss = ad.squared_error_at(q, cols, y)
+    assert loss.data.shape == (1, 1)
+    np.testing.assert_allclose(loss.item(), np.mean((q.data[np.arange(5), cols] - y) ** 2))
+    assert [n.op for n in ad.graph_nodes(loss)] == ["leaf", "squared_error_at"]
+    check_op(lambda: ad.squared_error_at(q, cols, y), q)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 42, 300])
+def test_squared_error_at_is_byte_identical_to_the_generic_ops(dtype, n):
+    """Loss and gradient bytes equal those of the gather, subtract, square,
+    sum and scale nodes the TD loss was once built from, with float64
+    targets cast to the store dtype first, also under an upstream gradient
+    other than 1."""
+    rng = np.random.default_rng(n)
+    q_data = rng.normal(size=(n, 9)).astype(dtype)
+    cols = rng.integers(9, size=n)
+    cols[: n // 2] = cols[0]                 # many rows share one column
+    y = rng.normal(size=n) * 3
+    y[0] = q_data[0, cols[0]]                # a zero error
+    results = []
+    for op in (ad.squared_error_at, reference_squared_error):
+        q = ad.Tensor(q_data.copy(), requires_grad=True)
+        loss = op(q, cols, y) if op is ad.squared_error_at else op(q, np.arange(n), cols, y)
+        ad.backward(ad.mul(loss, ad.Tensor(np.full((1, 1), 0.7, dtype=dtype))))
+        assert loss.data.dtype == q.grad.dtype == dtype
+        results.append((loss.data.tobytes(), q.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_squared_error_at_turns_a_negative_zero_gradient_positive():
+    # -0.0 - 0.0 is -0.0, and so would be its gradient entry; adding onto
+    # zeros, as a scatter does, gives +0.0
+    q = ad.Tensor(np.array([[-0.0, 1.0], [2.0, 3.0]]), requires_grad=True)
+    ad.backward(ad.squared_error_at(q, np.array([0, 1]), np.array([0.0, 1.0])))
+    assert q.grad.tolist() == [[0.0, 0.0], [0.0, 2.0]]
+    assert not np.signbit(q.grad).any()
 
 
 def test_matmul_grad_closed_form():
@@ -383,10 +401,10 @@ def test_shared_subexpression_fans_in():
 
 def test_deep_chain_backward_is_iterative():
     # would blow the recursion limit if backward recursed
-    x = leaf((1, 1))
+    x = ad.Tensor(np.ones((1, 1)), requires_grad=True)
     y = x
     for _ in range(5000):
-        y = ad.scale(y, 1.0)
+        y = ad.relu(y)
     ad.backward(ad.sum_all(y))
     np.testing.assert_allclose(x.grad, [[1.0]])
 
@@ -414,7 +432,7 @@ def test_backward_is_bit_deterministic():
         a = ad.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         h = ad.relu(ad.matmul(a, b))
-        ad.backward(ad.mean_all(ad.mul(h, h)))
+        ad.backward(ad.sum_all(ad.mul(h, h)))
         return a.grad.tobytes(), b.grad.tobytes()
 
     assert run() == run()

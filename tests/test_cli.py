@@ -3,6 +3,8 @@ import dataclasses
 import contextlib
 import io
 import json
+import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -19,7 +21,8 @@ from _helpers import scenario, small_experiment, tiny_network
 from ramplab.cli import TRACE_COLUMNS, main
 from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS
 from ramplab.network import build_network, save_checkpoint
-from ramplab.runs import blas_threads, write_run_info
+from ramplab import runs
+from ramplab.runs import HEAP_SETTINGS, blas_threads, keep_freed_heap, write_run_info
 from ramplab.simulation import ActionCommand, reset, step
 from ramplab.trainer import METRICS_COLUMNS, Trainer
 
@@ -60,6 +63,8 @@ def test_train_writes_the_advertised_artifacts(trained_run):
     info = json.loads((out / "run_info.json").read_text())
     assert info["seeds"] == [1]
     assert len(info["package_sha256"]) == 64
+    assert info["malloc"] == ({name: value for name, _, value in HEAP_SETTINGS}
+                              if ON_GLIBC else {})
 
 
 def test_run_info_records_blas_and_its_thread_variables(tmp_path, monkeypatch):
@@ -80,6 +85,54 @@ def test_run_info_records_the_live_blas_thread_count(tmp_path):
     threads = json.loads((tmp_path / "run_info.json").read_text())["blas_threads"]
     assert threads is None or (type(threads) is int and threads >= 1)
     assert threads == blas_threads()
+
+
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+
+# Minor page faults per gitsr learner step, default network and batch, in a
+# fresh process whose environment leaves glibc's allocator at its defaults
+# until keep_freed_heap runs.
+LEARNER_FAULTS = """
+import json, resource, sys
+import numpy as np
+from ramplab.config import ExperimentConfig, TrainingConfig
+from ramplab.runs import keep_freed_heap
+from ramplab.trainer import Trainer, train_on_batch
+applied = keep_freed_heap()
+cfg = ExperimentConfig(training=TrainingConfig(warmup_steps=10 ** 9), model_variant="gitsr")
+trainer = Trainer(cfg, seed=0)
+while len(trainer.buffer) < 64:
+    trainer.run_episode()
+batches = [trainer.buffer.sample(cfg.training.batch) for _ in range(30)]
+def learn(batch):
+    train_on_batch(batch, trainer.net, trainer.target, trainer.optimizer, cfg.training.gamma)
+for batch in batches[:10]:
+    learn(batch)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for batch in batches[10:]:
+    learn(batch)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"applied": applied, "faults_per_step": faults / 20}))
+"""
+
+
+@pytest.mark.skipif(not ON_GLIBC, reason="the allocator settings are glibc's")
+def test_kept_heap_spares_the_learner_its_page_faults():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env.update(PYTHONPATH=str(Path(runs.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", LEARNER_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["applied"] == {name: value for name, _, value in HEAP_SETTINGS}
+    assert result["faults_per_step"] < 50
+
+
+def test_keep_freed_heap_applies_nothing_without_mallopt(monkeypatch):
+    monkeypatch.setattr(runs.ctypes, "CDLL", lambda name: object())
+    monkeypatch.setattr(runs, "heap_settings_applied", {})
+    assert keep_freed_heap() == {}
+    assert runs.heap_settings_applied == {}
 
 
 def test_train_metrics_csv_matches_summary(trained_run):

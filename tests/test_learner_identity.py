@@ -18,11 +18,9 @@ import functools
 import numpy as np
 import pytest
 
+from _helpers import reference_squared_error
 from ramplab import network as network_module
-from ramplab.autodiff import (
-    Tensor, _node, backward, gather, matmul, mean_all, mul, no_grad, relu, scene_matmul,
-    select_rows, sub,
-)
+from ramplab.autodiff import _node, backward, matmul, no_grad, relu, scene_matmul, select_rows
 from ramplab.config import ExperimentConfig, TrainingConfig
 from ramplab.network import build_network
 from ramplab.optim import Adam, clip_global_grad_norm
@@ -63,18 +61,6 @@ def reference_select_rows(a, indices):
     return _node(a.data[indices].copy(), "select_rows", (a,), vjp)
 
 
-def reference_gather(a, rows, cols):
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-
-    def vjp(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, (rows, cols), g[:, 0])
-        return (da,)
-
-    return _node(a.data[rows, cols][:, None].copy(), "gather", (a,), vjp)
-
-
 def reference_train_on_batch(batch, net, target_net, optimizer, gamma):
     # The forward asks for the active rows, as the learner's does, so the
     # float32 bytes compared hang only on the reference ops; the all-rows
@@ -83,9 +69,8 @@ def reference_train_on_batch(batch, net, target_net, optimizer, gamma):
     y = td_targets(batch, target_net, gamma)
     net.store.zero_grads()
     q = net.forward_batch(batch.s, rows)
-    pred = reference_gather(q, np.arange(rows.size), batch.actions.reshape(-1)[rows])
-    diff = sub(pred, Tensor(y.reshape(-1)[rows].astype(net.store.dtype)[:, None]))
-    loss = mean_all(mul(diff, diff))
+    loss = reference_squared_error(q, np.arange(rows.size), batch.actions.reshape(-1)[rows],
+                                   y.reshape(-1)[rows])
     backward(loss)
     net.store.check_finite_grads()
     clip_global_grad_norm(net.store, MAX_GRAD_NORM)
@@ -122,9 +107,8 @@ def all_rows_train_on_batch(batch, net, target_net, optimizer, gamma):
     y = all_rows_td_targets(batch, target_net, gamma)
     net.store.zero_grads()
     q_all = net.forward_batch(batch.s)
-    pred = gather(q_all, scene * batch.actions.shape[1] + cav, batch.actions[scene, cav])
-    diff = sub(pred, Tensor(y[scene, cav].astype(net.store.dtype)[:, None]))
-    loss = mean_all(mul(diff, diff))
+    loss = reference_squared_error(q_all, scene * batch.actions.shape[1] + cav,
+                                   batch.actions[scene, cav], y[scene, cav])
     backward(loss)
     clip_global_grad_norm(net.store, MAX_GRAD_NORM)
     optimizer.step()

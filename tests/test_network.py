@@ -229,6 +229,31 @@ def test_batched_forward_matches_singles(variant):
     np.testing.assert_allclose(batched, singles, rtol=1e-9, atol=1e-11)
 
 
+@pytest.mark.parametrize("representation", ["agent_centric", "scene_centric"])
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_q_values_equal_a_stacked_batch_of_one_and_leave_the_snapshot_alone(variant,
+                                                                           representation):
+    """q_values views its snapshot's arrays as a batch of one; the bytes
+    must be those of the copies stack_states makes, on snapshots whose
+    CAVs are all, some or none active, and the snapshot must not change."""
+    cfg = small_experiment(model_variant=variant, representation=representation,
+                           scenario=scenario(n_cav=4, n_hdv=3, max_steps=20))
+    net = build_network(cfg, seed=7)
+    rng = np.random.default_rng(8)
+    snaps = []
+    for seed in range(3):
+        snap = net.observe(random_rollout(cfg.scenario, seed=seed, n_steps=6), cfg.scenario)
+        snaps += [snap, dataclasses.replace(snap, alive=np.zeros(4, dtype=bool))]
+        snaps += [dataclasses.replace(snap, alive=rng.random(4) < 0.5) for _ in range(3)]
+    assert any(0 < snap.alive.sum() < 4 for snap in snaps)
+    for snap in snaps:
+        before = {name: value.tobytes() for name, value in vars(snap).items()
+                  if isinstance(value, np.ndarray)}
+        q = net.q_values(snap)
+        assert q.tobytes() == net.forward_batch(stack_states([snap])).data.tobytes()
+        assert {name: getattr(snap, name).tobytes() for name in before} == before
+
+
 def test_gitsr_tape_size_does_not_grow_with_batch():
     cfg = small_experiment(model_variant="gitsr")
     net = build_network(cfg, seed=2)

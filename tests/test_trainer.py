@@ -8,7 +8,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_rollout, scenario, small_experiment, vehicle, world_of
+from _helpers import (
+    random_rollout, reference_squared_error, scenario, small_experiment, vehicle, world_of,
+)
 from ramplab import autodiff as ad
 from ramplab import network as network_module
 from ramplab import trainer as trainer_module
@@ -261,10 +263,13 @@ def loop_td_targets(batch, target_net, gamma):
     n_scenes, n_cavs = batch.actions.shape
     boot = [b * n_cavs + i for b in range(n_scenes) for i in range(n_cavs)
             if batch.s.alive[b, i] and not batch.done[b] and batch.s_next.alive[b, i]]
+    # no CAV of a terminal row's s_next is a token of the target forward
+    live_next = batch.s_next.alive & ~batch.done[:, None]
     q_next = {}
     if boot:
         with no_grad():
-            q_next = dict(zip(boot, target_net.forward_batch(batch.s_next, np.array(boot)).data))
+            q_next = dict(zip(boot, target_net.forward_batch(
+                dataclasses.replace(batch.s_next, alive=live_next), np.array(boot)).data))
     y = np.empty((n_scenes, n_cavs))
     for b in range(n_scenes):
         reward = float(batch.reward[b])
@@ -285,10 +290,8 @@ def loop_train_on_batch(batch, net, target_net, optimizer, gamma):
                 cols.append(int(batch.actions[b, i]))
                 targets.append(y[b, i])
     net.store.zero_grads()
-    pred = ad.gather(net.forward_batch(batch.s, np.array(rows)), np.arange(len(rows)),
-                     np.array(cols))
-    diff = ad.sub(pred, ad.Tensor(np.array(targets, dtype=net.store.dtype)[:, None]))
-    loss = ad.mean_all(ad.mul(diff, diff))
+    loss = reference_squared_error(net.forward_batch(batch.s, np.array(rows)),
+                                   np.arange(len(rows)), np.array(cols), np.array(targets))
     ad.backward(loss)
     clip_global_grad_norm(net.store, MAX_GRAD_NORM)
     optimizer.step()
@@ -344,12 +347,23 @@ def test_td_targets_ignore_s_next_on_terminal_rows(variant):
     replaced = [u if d else n for u, n, d in zip(unrelated, s_next, done)]
     assert stack_states(replaced).sr.tobytes() != stack_states(s_next).sr.tobytes()
 
+    seen = []
+    forward_batch = target.forward_batch
+
+    def spy(states, rows=None):
+        seen.append(states.alive.copy())
+        return forward_batch(states, rows)
+
+    target.forward_batch = spy
+
     def targets(ends):
         return td_targets(Batch(s, actions, reward, stack_states(ends), done), target, gamma=0.9)
 
     y = targets(s_next)
     assert (y != reward[:, None]).any()     # some rows bootstrap
     assert y.tobytes() == targets(replaced).tobytes()
+    # nor does any CAV of a terminal row's s_next reach the target forward
+    assert len(seen) == 2 and not any(alive[done].any() for alive in seen)
 
 
 def test_update_target_copies_then_goes_stale():
