@@ -21,7 +21,8 @@ CAV rows; if those are all active, only the active CAVs are tokens, and the
 layers that act row by row after the last attention (and the graph
 encoder's last projection) run only on the rows asked for.  Each variant
 names the optional snapshot fields its forward reads (``reads``), and
-:meth:`QNetwork.observe` builds only those.
+:meth:`QNetwork.observe` builds only those; ``madqn`` keeps only its CAVs'
+feature rows.
 
 Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
 plus a little-endian float32 blob and round-trip bit-exactly.
@@ -447,8 +448,8 @@ class TransformerOnlyNetwork(QNetwork):
 
 
 class BaselineNetwork(QNetwork):
-    """Per-CAV MLP on node features joined with the CAV's own grid row; no
-    attention and no graph mixing, so rows never interact."""
+    """Per-CAV MLP on the CAV's own node features joined with its own grid
+    row; no attention and no graph mixing, so rows never interact."""
 
     variant = "madqn"
 
@@ -458,9 +459,22 @@ class BaselineNetwork(QNetwork):
 
     reads = ("features",)
 
+    def observe(self, world: WorldState, scenario: ScenarioConfig) -> StateSnapshot:
+        """As :meth:`QNetwork.observe`, with ``features`` cut to the CAVs'
+        own rows, (m, f) in ``cav_ids`` order: no other row is read."""
+        snap = super().observe(world, scenario)
+        snap.features = snap.features[list(snap.cav_ids)]
+        return snap
+
     def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
+        """Raises ``ValueError`` unless ``features`` holds m rows a scene,
+        the CAVs' own, as :meth:`observe` makes them."""
+        features = states.features
+        if features.shape[-2] != states.alive.shape[1]:
+            raise ValueError(f"madqn reads one feature row per CAV ({states.alive.shape[1]} a "
+                             f"scene), got {features.shape[-2]}")
         rows = cav_rows(states, rows)
-        own = states.features[rows // states.alive.shape[1], states.cav_ids.reshape(-1)[rows]]
+        own = features.reshape(-1, features.shape[-1])[rows]
         x = np.concatenate([own, grid_rows(states, rows)], axis=1)
         return q_head(flat_rows(x, self.store.dtype), None,
                       self.q_w1, self.q_b1, self.q_w2, self.q_b2)

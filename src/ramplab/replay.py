@@ -1,14 +1,19 @@
 """FIFO experience replay in preallocated ring arrays, with seeded uniform
 sampling.  Each state is stored once: a transition's ``s_next`` is the next
 transition's ``s``, as in Dopamine's circular replay (Castro et al.,
-arXiv:1812.06110).  Occupancy grids are stored as their occupied cells."""
+arXiv:1812.06110).  Each ring holds its field at the narrowest exact width:
+occupancy grids as their occupied cells, bools packed eight to a byte, and
+vehicle ids and action indices in the smallest unsigned type that holds
+them."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ramplab.representation import StateBatch, StateSnapshot
+from ramplab.simulation import N_ACTIONS
 
 
 @dataclass
@@ -17,7 +22,9 @@ class Batch:
     indices actually taken (filler for CAVs already inactive), the shared
     reward and whether the step ended the episode.  On a terminal row
     ``s_next`` is unspecified: a DQN target does not bootstrap there, and
-    the next episode's first state may have overwritten it."""
+    the next episode's first state may have overwritten it.  The replay
+    hands every field back in the dtype and shape the network observed,
+    whatever width its ring stores it in."""
 
     s: StateBatch
     actions: np.ndarray    # (B, m) int64
@@ -40,14 +47,21 @@ class ReplayBuffer:
     written over that transition's ``s_next``.
 
     The first :meth:`add` lays the rings out: one per state field it holds
-    (None fields get none), with that array's shape and dtype, except the
-    grid ``sr``.  A grid is mostly empty, so its rings ``sr_cells`` and
-    ``sr_values`` hold the flat indices and values of its cells whose bits
-    are not all zero (so -0.0 is kept), K per state, padded with the index
-    one past the grid.  Each vehicle paints at most one cell per grid row,
-    so K is rows x vehicles.  :meth:`sample` scatters the cells back into
-    zeros.  The rings come from ``np.zeros``, so their pages are touched
-    only as the buffer fills.
+    (None fields get none), with that array's shape and dtype, except:
+
+    * bool fields (``adjacency``, ``alive``) are ``np.packbits`` rows;
+    * ``cav_ids`` take the smallest unsigned type that holds a vehicle
+      index, and actions the one that holds an index below ``N_ACTIONS``
+      (uint8 both);
+    * the grid ``sr`` is mostly empty, so its rings ``sr_cells`` and
+      ``sr_values`` hold the flat indices and values of its cells whose
+      bits are not all zero (so -0.0 is kept), K per state, padded with
+      the index one past the grid.  Each vehicle paints at most one cell
+      per grid row, so K is rows x vehicles.
+
+    :meth:`sample` unpacks, widens and scatters them back, so a batch holds
+    each field as observed.  The rings come from ``np.zeros``, so their
+    pages are touched only as the buffer fills.
     """
 
     def __init__(self, capacity: int, seed: int):
@@ -61,8 +75,16 @@ class ReplayBuffer:
     def _allocate(self, s: StateSnapshot, actions: np.ndarray) -> None:
         first = {f.name: np.asarray(getattr(s, f.name)) for f in fields(StateBatch)
                  if f.name != "sr" and getattr(s, f.name) is not None}
-        self._states = {name: np.zeros((self.capacity + 1, *a.shape), dtype=a.dtype)
-                        for name, a in first.items()}
+        self._observed = {name: (a.shape, a.dtype) for name, a in first.items()}
+        self._states = {}
+        for name, a in first.items():
+            if a.dtype == bool:
+                slot, dtype = np.packbits(a).shape, np.uint8
+            elif name == "cav_ids":
+                slot, dtype = a.shape, np.min_scalar_type(len(s.mask) - 1)
+            else:
+                slot, dtype = a.shape, a.dtype
+            self._states[name] = np.zeros((self.capacity + 1, *slot), dtype=dtype)
         sr = np.asarray(s.sr)
         self._grid_shape = sr.shape
         self._grid_size = sr.size      # also the pad index, one past the grid
@@ -71,7 +93,8 @@ class ReplayBuffer:
                                             dtype=np.min_scalar_type(self._grid_size))
         self._states["sr_values"] = np.zeros((self.capacity + 1, k), dtype=sr.dtype)
         self._bits = np.dtype(f"u{sr.itemsize}")    # cells are picked by bit pattern
-        self._actions = np.zeros((self.capacity, *np.shape(actions)), dtype=np.int64)
+        self._actions = np.zeros((self.capacity, *np.shape(actions)),
+                                 dtype=np.min_scalar_type(N_ACTIONS - 1))
         self._reward = np.zeros(self.capacity)
         self._done = np.zeros(self.capacity, dtype=bool)
 
@@ -82,12 +105,14 @@ class ReplayBuffer:
             s_next: StateSnapshot, done: bool) -> None:
         """Store one transition.  Raises ``ValueError``, with nothing
         written, if ``s`` is neither the previous ``s_next`` object nor the
-        first state after a terminal transition, or if a grid has more than
-        K occupied cells."""
+        first state after a terminal transition, if an action lies outside
+        [0, N_ACTIONS), or if a grid has more than K occupied cells."""
         k = self._adds
         fresh = s is not self._last_next
         if fresh and k and not self._done[(k - 1) % self.capacity]:
             raise ValueError("s must be the previous s_next unless that transition was terminal")
+        if not all(0 <= a < N_ACTIONS for a in np.ravel(actions).tolist()):
+            raise ValueError(f"actions must lie in [0, {N_ACTIONS}), got {actions}")
         if not k:
             self._allocate(s, actions)
         at = k % (self.capacity + 1)
@@ -113,9 +138,9 @@ class ReplayBuffer:
         return grid, cells
 
     def _write(self, at: int, snap: StateSnapshot, grid: np.ndarray, cells: np.ndarray) -> None:
-        for name, ring in self._states.items():
-            if name not in ("sr_cells", "sr_values"):
-                ring[at] = getattr(snap, name)
+        for name, (_, dtype) in self._observed.items():
+            value = getattr(snap, name)
+            self._states[name][at] = np.packbits(value) if dtype == bool else value
         n = len(cells)
         self._states["sr_cells"][at, :n] = cells
         self._states["sr_cells"][at, n:] = self._grid_size
@@ -140,9 +165,15 @@ class ReplayBuffer:
         grids = np.zeros((len(cells), width), dtype=values.dtype)
         grids.reshape(-1)[cells + np.arange(0, grids.size, width)[:, None]] = values
         rows["sr"] = grids[:, :-1].reshape(-1, *self._grid_shape)
+        for name, (shape, dtype) in self._observed.items():
+            if dtype == bool:
+                bits = np.unpackbits(rows[name], axis=1, count=math.prod(shape))
+                rows[name] = bits.view(bool).reshape(-1, *shape)
+            else:
+                rows[name] = rows[name].astype(dtype, copy=False)
         return Batch(
             s=StateBatch(**{name: a[:batch_size] for name, a in rows.items()}),
-            actions=self._actions[idx],
+            actions=self._actions[idx].astype(np.int64),
             reward=self._reward[idx],
             s_next=StateBatch(**{name: a[batch_size:] for name, a in rows.items()}),
             done=self._done[idx],

@@ -174,10 +174,12 @@ class StateSnapshot:
 
     ``sr`` is one agent-centric grid row per CAV in ``cav_ids`` order, or the
     one flattened scene-centric grid; :func:`grid_rows` gives the per-CAV rows
-    the networks read.  ``features``/``adjacency``/``mask`` rows follow
-    vehicle id order.  ``alive`` flags which CAVs were active when
-    the snapshot was taken.  ``features`` and ``adjacency`` are None where
-    the network does not read them (see ``QNetwork.observe``).
+    the networks read.  ``adjacency``/``mask`` rows follow vehicle id order,
+    and so do ``features`` rows, one per vehicle (n, f), except in a
+    ``madqn`` snapshot, which keeps only the CAVs' rows (m, f) in
+    ``cav_ids`` order.  ``alive`` flags which CAVs were active when the
+    snapshot was taken.  ``features`` and ``adjacency`` are None where the
+    network does not read them (see ``QNetwork.observe``).
     """
 
     sr: np.ndarray
@@ -195,9 +197,10 @@ class StateSnapshot:
 @dataclass
 class StateBatch:
     """``B`` states stacked along a leading axis, as the networks take them:
-    ``sr`` (B, m, w) or (B, 1, w), ``cav_ids`` and ``alive`` (B, m),
-    ``features`` (B, n, f) and ``adjacency`` (B, n, n), None where the
-    variant reads none."""
+    ``sr`` (B, m, w) or (B, 1, w), ``cav_ids`` (int64) and ``alive`` (bool)
+    (B, m), ``features`` (B, n, f), or (B, m, f) for ``madqn``, and bool
+    ``adjacency`` (B, n, n), None where the variant reads none.  The replay
+    stores them narrower and gives them back in these dtypes."""
 
     sr: np.ndarray
     cav_ids: np.ndarray

@@ -24,9 +24,9 @@ from ramplab.representation import StateBatch, build_state, grid_rows, stack_sta
 from ramplab.simulation import ActionCommand, episode_done, reset, step
 
 
-def make_snap(seed, config, representation="agent_centric"):
-    world = random_rollout(config, seed=seed, n_steps=4)
-    return build_state(world, config, representation)
+def make_snap(net, seed, config):
+    """What ``net`` observes of a reachable world."""
+    return net.observe(random_rollout(config, seed=seed, n_steps=4), config)
 
 
 def mha_params(rng, d):
@@ -211,7 +211,7 @@ def test_q_head_zero_input_yields_bias_row():
 def test_forward_shapes_and_finiteness(variant):
     cfg = small_experiment(model_variant=variant)
     net = build_network(cfg, seed=0)
-    snap = make_snap(0, cfg.scenario)
+    snap = make_snap(net, 0, cfg.scenario)
     q = net.q_values(snap)
     assert q.shape == (2, 9)
     assert q.dtype == np.float32
@@ -222,7 +222,7 @@ def test_forward_shapes_and_finiteness(variant):
 def test_batched_forward_matches_singles(variant):
     cfg = small_experiment(model_variant=variant)
     net = build_network(cfg, seed=1, dtype=np.float64)
-    snaps = [make_snap(s, cfg.scenario) for s in range(3)]
+    snaps = [make_snap(net, s, cfg.scenario) for s in range(3)]
     batched = net.forward_batch(stack_states(snaps)).data
     singles = np.vstack([net.forward(s).data for s in snaps])
     assert batched.shape == (6, 9)
@@ -257,7 +257,7 @@ def test_q_values_equal_a_stacked_batch_of_one_and_leave_the_snapshot_alone(vari
 def test_gitsr_tape_size_does_not_grow_with_batch():
     cfg = small_experiment(model_variant="gitsr")
     net = build_network(cfg, seed=2)
-    snaps = [make_snap(s, cfg.scenario) for s in range(8)]
+    snaps = [make_snap(net, s, cfg.scenario) for s in range(8)]
     sizes = [len(graph_nodes(net.forward_batch(stack_states(snaps[:b])))) for b in (1, 8)]
     assert sizes[0] == sizes[1]
 
@@ -266,23 +266,35 @@ def test_baseline_rows_are_independent():
     # swapping the other CAV's observation must not move a baseline row
     cfg = small_experiment(model_variant="madqn")
     net = build_network(cfg, seed=2)
-    snap_a, snap_b = make_snap(3, cfg.scenario), make_snap(4, cfg.scenario)
+    snap_a, snap_b = make_snap(net, 3, cfg.scenario), make_snap(net, 4, cfg.scenario)
     q_a = net.q_values(snap_a)
     hybrid = dataclasses.replace(
         snap_a,
         sr=np.vstack([snap_a.sr[0], snap_b.sr[1]]),
-        features=snap_a.features.copy(),
+        features=np.vstack([snap_a.features[0], snap_b.features[1]]),
     )
-    hybrid.features[list(snap_a.cav_ids)[1]] = snap_b.features[list(snap_b.cav_ids)[1]]
     q_h = net.q_values(hybrid)
     np.testing.assert_array_equal(q_a[0], q_h[0])
     assert not np.array_equal(q_a[1], q_h[1])
 
 
+def test_baseline_refuses_features_of_every_vehicle():
+    """madqn's forward reads its CAVs' own feature rows, as observe keeps
+    them; a (B, n, f) stack of every vehicle's rows is refused rather than
+    misread."""
+    cfg = small_experiment(model_variant="madqn")
+    net = build_network(cfg, seed=2)
+    worlds = [random_rollout(cfg.scenario, seed=s, n_steps=4) for s in range(3)]
+    full = stack_states([build_state(w, cfg.scenario, cfg.representation) for w in worlds])
+    assert full.features.shape == (3, 5, 10)
+    with pytest.raises(ValueError, match=r"one feature row per CAV \(2 a scene\), got 5"):
+        net.forward_batch(full)
+
+
 def test_gitsr_uses_graph_and_transformer_paths():
     cfg = small_experiment(model_variant="gitsr")
     net = build_network(cfg, seed=3)
-    snap = make_snap(5, cfg.scenario)
+    snap = make_snap(net, 5, cfg.scenario)
     q0 = net.q_values(snap)
     # perturbing the features of an HDV a CAV can perceive flows via the GCN
     hdv_row = next(
@@ -315,6 +327,8 @@ def test_observe_builds_exactly_the_fields_forward_reads(variant, representation
     net = build_network(cfg, seed=4)
     world = random_rollout(cfg.scenario, seed=6, n_steps=4)
     full = build_state(world, cfg.scenario, representation)
+    if variant == "madqn":      # reads only its CAVs' feature rows
+        full = dataclasses.replace(full, features=full.features[list(full.cav_ids)])
     seen = net.observe(world, cfg.scenario)
     assert net.forward(seen).data.tobytes() == net.forward(full).data.tobytes()
     for name in ("sr", "features", "adjacency", "mask", "alive"):
@@ -331,7 +345,7 @@ def test_observe_builds_exactly_the_fields_forward_reads(variant, representation
 def test_forward_on_a_row_subset_matches_the_full_forward(variant):
     cfg = two_block_experiment(variant)
     net = build_network(cfg, seed=6, dtype=np.float64)
-    states = stack_states([make_snap(s, cfg.scenario) for s in range(5)])
+    states = stack_states([make_snap(net, s, cfg.scenario) for s in range(5)])
     full = net.forward_batch(states).data
     rng = np.random.default_rng(6)
     n_rows = len(full)
@@ -347,7 +361,7 @@ def test_forward_on_a_row_subset_matches_the_full_forward(variant):
 def test_row_subset_loss_gradient_matches_finite_differences(variant):
     cfg = two_block_experiment(variant)
     net = build_network(cfg, seed=7, dtype=np.float64)
-    states = stack_states([make_snap(s, cfg.scenario) for s in range(3)])
+    states = stack_states([make_snap(net, s, cfg.scenario) for s in range(3)])
     rows = np.array([1, 2, 5])
     rng = np.random.default_rng(7)
     weights = Tensor(rng.normal(size=(len(rows), 9)))
@@ -530,7 +544,7 @@ def test_clone_copies_parameters():
     cfg = small_experiment(model_variant="gitsr")
     net = build_network(cfg, seed=4)
     twin = net.clone()
-    snap = make_snap(6, cfg.scenario)
+    snap = make_snap(net, 6, cfg.scenario)
     np.testing.assert_array_equal(net.q_values(snap), twin.q_values(snap))
     twin.store.params["qhead.b2"].data += 1.0
     assert not np.array_equal(net.q_values(snap), twin.q_values(snap))
@@ -540,7 +554,7 @@ def test_nan_weight_reaches_the_q_check():
     # a NaN pre-activation propagates through ReLU instead of becoming 0
     cfg = small_experiment(model_variant="gitsr")
     net = build_network(cfg, seed=2)
-    snap = make_snap(1, cfg.scenario)
+    snap = make_snap(net, 1, cfg.scenario)
     assert np.isfinite(net.q_values(snap)).all()
     net.store.params["qhead.w1"].data[0, 0] = np.nan
     with pytest.raises(TrainingError, match="non-finite Q values"):
@@ -569,7 +583,7 @@ def test_checkpoint_round_trip_is_bit_exact(variant, tmp_path):
     for name, p in net.store.items():
         assert arrays[name].tobytes() == p.data.astype("<f4").tobytes()
     restored = network_from_checkpoint(tmp_path)
-    snap = make_snap(7, cfg.scenario)
+    snap = make_snap(net, 7, cfg.scenario)
     np.testing.assert_array_equal(net.q_values(snap), restored.q_values(snap))
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import scenario, small_experiment
-from ramplab.config import MODEL_VARIANTS, ExperimentConfig
+from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS, ExperimentConfig
 from ramplab.network import build_network
 from ramplab.replay import Batch, ReplayBuffer
 from ramplab.representation import StateBatch, StateSnapshot, grid_rows, stack_states
@@ -272,19 +274,21 @@ def buffer_contents(buf: ReplayBuffer) -> tuple:
 
 
 @pytest.mark.parametrize("case", ["s_next too dense", "fresh s too dense",
-                                  "fresh s_next too dense", "s does not continue"])
+                                  "fresh s_next too dense", "s does not continue",
+                                  "action below range", "action past range"])
 def test_add_refuses_before_writing_anything(case):
-    """A grid with more than K occupied cells, or an s that is neither the
+    """A grid with more than K occupied cells, an s that is neither the
     previous s_next object nor the first state after a terminal transition,
-    raises ValueError and leaves every ring, counter and the RNG as they
-    were."""
+    or an action outside [0, 9) raises ValueError and leaves every ring,
+    counter and the RNG as they were.  An int64 -1 would otherwise wrap in
+    the uint8 action ring, and index the last Q column before it."""
     def snap(tag, n_cells=1):
         # one vehicle: K = 2 grid rows x 1
         sr = np.zeros((2, 3), dtype=np.float32)
         sr.flat[:n_cells] = tag
         return dataclasses.replace(stub_snapshot(tag), sr=sr, mask=np.ones(1, dtype=np.float32))
 
-    terminal = case != "s does not continue"
+    terminal = case not in ("s does not continue", "action below range", "action past range")
     buf = stub_buffer(capacity=3, seed=4)
     s = snap(1)
     for tag in range(2, 7):     # the ring wraps
@@ -293,18 +297,20 @@ def test_add_refuses_before_writing_anything(case):
         s = s_next
     s, s_next = {"s_next too dense": (s, snap(9, 3)), "fresh s too dense": (snap(9, 3), snap(7)),
                  "fresh s_next too dense": (snap(7), snap(9, 3)),
-                 "s does not continue": (snap(7), snap(8))}[case]
+                 "s does not continue": (snap(7), snap(8))}.get(case, (s, snap(7)))
+    actions = {"action below range": [1, -1], "action past range": [9, 1]}.get(case, [1, 1])
     before = buffer_contents(buf)
-    with pytest.raises(ValueError, match="3 occupied cells, more than K = 2" if terminal
-                       else "previous s_next"):
-        buf.add(s, np.array([1, 1]), 1.0, s_next, False)
+    match = ("3 occupied cells, more than K = 2" if terminal else
+             "previous s_next" if case == "s does not continue" else r"actions must lie in \[0, 9\)")
+    with pytest.raises(ValueError, match=match):
+        buf.add(s, np.array(actions), 1.0, s_next, False)
     assert buffer_contents(buf) == before
 
 
 def test_trainer_replay_stores_one_snapshot_per_transition():
     """Past capacity and over several episodes, a default-scenario gitsr
-    buffer holds one state slot per transition plus one, and 41 B of
-    actions, reward and done."""
+    buffer holds one state slot per transition plus one, and 13 B of
+    actions (one byte each), reward and done."""
     cfg = ExperimentConfig()
     capacity = 100
     cfg = dataclasses.replace(cfg, training=dataclasses.replace(
@@ -317,24 +323,37 @@ def test_trainer_replay_stores_one_snapshot_per_transition():
     snapshot_bytes = sum(np.asarray(getattr(snap, f.name)).nbytes
                          for f in dataclasses.fields(StateBatch)
                          if getattr(snap, f.name) is not None)
-    per_transition = 8 * cfg.scenario.n_cav + 8 + 1
-    assert (snapshot_bytes, per_transition) == (3240, 41)
+    per_transition = cfg.scenario.n_cav + 8 + 1
+    assert (snapshot_bytes, per_transition) == (3240, 13)
+    assert buf._actions.nbytes + buf._reward.nbytes + buf._done.nbytes == capacity * 13
     ring_bytes = (sum(ring.nbytes for ring in buf._states.values())
                   + buf._actions.nbytes + buf._reward.nbytes + buf._done.nbytes)
     assert ring_bytes <= capacity * (snapshot_bytes + per_transition) + snapshot_bytes
     assert buf._done.sum() > 1
 
 
-@pytest.mark.parametrize("variant, representation, bound", [
-    ("gitsr", "agent_centric", 1169),
-    ("madqn", "scene_centric", 721),
-])
-def test_ring_bytes_per_transition(variant, representation, bound):
-    """Ring bytes per stored transition at the default scenario: ring
-    ``nbytes`` over capacity, less the one extra state slot.  The grid
-    rings hold K = rows x vehicles cells a state (2-byte indices and
-    float32 values), against 2448 B (agent-centric) and 2412 B
-    (scene-centric) of dense grid."""
+def readme_ring_bytes() -> dict[tuple[str, str], int]:
+    """README's "Replay memory" table: ring bytes per transition by
+    (model_variant, representation)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Replay memory", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| (\d+) +\| (\d+) +\|$", section, re.MULTILINE)
+    return {(variant, representation): int(n) for variant, *cells in rows
+            for representation, n in zip(REPRESENTATIONS, cells)}
+
+
+README_RING_BYTES = readme_ring_bytes()
+
+
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_ring_bytes_per_transition(variant, representation):
+    """Ring bytes per stored transition at the default scenario, ring
+    ``nbytes`` over capacity less the one extra state slot, are exactly
+    README's table.  The grid rings hold K = rows x vehicles cells a state
+    (2-byte indices and float32 values), against 2448 B (agent-centric)
+    and 2412 B (scene-centric) of dense grid; bools take a bit each, ids
+    and actions a byte."""
     cfg = dataclasses.replace(ExperimentConfig(), model_variant=variant,
                               representation=representation)
     capacity = 1000
@@ -348,4 +367,4 @@ def test_ring_bytes_per_transition(variant, representation, bound):
     state_slot = sum(ring[0].nbytes for ring in buf._states.values())
     ring_bytes = (sum(ring.nbytes for ring in buf._states.values())
                   + buf._actions.nbytes + buf._reward.nbytes + buf._done.nbytes)
-    assert (ring_bytes - state_slot) / capacity <= bound
+    assert (ring_bytes - state_slot) / capacity == README_RING_BYTES[variant, representation]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +6,19 @@ from hypothesis import strategies as st
 from _helpers import random_rollout, vehicle, world_of
 from ramplab.config import RewardWeights, ScenarioConfig
 from ramplab.rewards import compute_reward
-from ramplab.simulation import Outcome, StepEvents, VehicleKind
+from ramplab.simulation import (
+    CAV_COMMAND_ACCEL,
+    ActionCommand,
+    Lateral,
+    Longitudinal,
+    Outcome,
+    StepEvents,
+    VehicleKind,
+    episode_done,
+    reset,
+    step,
+    target_ramp_x,
+)
 
 CFG = ScenarioConfig()
 W = RewardWeights()
@@ -92,3 +105,40 @@ def test_reward_bounds_on_reachable_worlds(seed, n_steps):
     assert 0.0 <= r.intention <= m
     assert r.total <= W.w1 + W.w3 * m
     assert r.total >= 0.0        # without collision events every term is >= 0
+
+
+def scripted_episode(seed: int, park: bool) -> tuple[float, float]:
+    """Return and success rate of one default-scenario episode in which every
+    active CAV moves right until it is on the rightmost lane and holds its
+    speed; with ``park``, it also decelerates once its own ramp is within
+    stopping distance plus one step, v^2 / (2 a) + v dt."""
+    world = reset(CFG, seed)
+    total = 0.0
+    while not episode_done(world, CFG):
+        commands = {}
+        for vid in world.active_cav_ids():
+            veh = world.vehicle(vid)
+            stop = veh.v ** 2 / (2 * CAV_COMMAND_ACCEL) + veh.v * CFG.dt
+            brake = park and target_ramp_x(veh.kind, CFG) - veh.x <= stop
+            commands[vid] = ActionCommand(
+                Lateral.RIGHT if veh.lane < CFG.n_lanes else Lateral.KEEP,
+                Longitudinal.DECELERATE if brake else Longitudinal.MAINTAIN)
+        total += compute_reward(world, step(world, commands, CFG), W, CFG).total
+    cavs = world.cav_ids()
+    exited = sum(world.vehicle(vid).outcome is Outcome.EXITED_CORRECT_RAMP for vid in cavs)
+    return total, exited / len(cavs)
+
+
+def test_default_reward_pays_parking_before_the_ramp_over_exiting():
+    """Pins today's reward: a CAV stopped in its ramp's approach zone is
+    paid the intention term every step until the episode ends, while an
+    exit earns nothing further.  Over env seeds 0-9, holding speed to the
+    ramp exits some CAVs (mean return about 63, success 0.15) and parking
+    before it exits none, yet returns about 957."""
+    exit_runs, park_runs = ([scripted_episode(seed, park) for seed in range(10)]
+                            for park in (False, True))
+    (exit_return, exit_success), (park_return, park_success) = (
+        np.mean(runs, axis=0) for runs in (exit_runs, park_runs))
+    assert park_return > exit_return
+    assert park_success == 0.0
+    assert exit_success > 0.0

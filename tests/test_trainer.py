@@ -19,7 +19,7 @@ from ramplab.config import MODEL_VARIANTS, EpsilonConfig
 from ramplab.network import TrainingError, build_network
 from ramplab.optim import Adam, clip_global_grad_norm
 from ramplab.replay import Batch
-from ramplab.representation import StateBatch, build_state, stack_states
+from ramplab.representation import StateBatch, build_state, feature_width, stack_states
 from ramplab.simulation import FILLER_ACTION_INDEX, Outcome, VehicleKind, reset
 from ramplab.trainer import (
     MAX_GRAD_NORM,
@@ -162,11 +162,10 @@ def solo_cfg(**kw):
 
 
 def rollout_snaps(cfg, n, seed0=0):
-    return [
-        build_state(random_rollout(cfg.scenario, seed=seed0 + i, n_steps=3),
-                    cfg.scenario, cfg.representation)
-        for i in range(n)
-    ]
+    """What ``cfg``'s network observes of ``n`` reachable worlds."""
+    net = build_network(cfg, seed=0)
+    return [net.observe(random_rollout(cfg.scenario, seed=seed0 + i, n_steps=3), cfg.scenario)
+            for i in range(n)]
 
 
 def frozen_batch(snaps, actions, rewards):
@@ -572,25 +571,23 @@ def test_rollout_snapshots_the_terminal_state_only_for_on_step(monkeypatch):
 @pytest.mark.parametrize("variant", MODEL_VARIANTS)
 def test_replay_rings_take_the_layout_of_the_observed_state(variant):
     """After one episode the rings hold one array per field the network
-    observes, shaped and typed as build_state makes it, except the grid,
-    which is held as K = rows x vehicles cell indices and float32 values;
-    every state ring has capacity + 1 slots: s and s_next share them."""
-    cfg = small_experiment(model_variant=variant)
+    observes, at its narrowest exact width: float32 features as observed
+    (madqn's m CAV rows, the others' n vehicle rows), bools packed eight to
+    a byte, CAV ids and actions as uint8, and the grid as K = rows x
+    vehicles uint16 cell indices and float32 values; every state ring has
+    capacity + 1 slots: s and s_next share them."""
+    cfg = small_experiment(model_variant=variant)    # 2 CAVs, 5 vehicles
     trainer = Trainer(cfg, seed=2)
     trainer.run_episode()
-    full = build_state(reset(cfg.scenario, 0), cfg.scenario, cfg.representation)
-    unread = {"gitsr": set(), "madqn": {"adjacency"},
-              "madqn_transformer": {"features", "adjacency"}}[variant]
     slots = cfg.training.buffer_capacity + 1
-    want = {}
-    for f in dataclasses.fields(StateBatch):
-        if f.name not in unread | {"sr"}:
-            value = np.asarray(getattr(full, f.name))
-            want[f.name] = ((slots, *value.shape), value.dtype)
-    k = full.sr.shape[0] * len(full.mask)
-    want["sr_cells"] = ((slots, k), np.dtype(np.uint16))
-    want["sr_values"] = ((slots, k), full.sr.dtype)
-    rings = trainer.buffer._states
-    assert {name: (ring.shape, ring.dtype) for name, ring in rings.items()} == want
-    if variant == "gitsr":
-        assert want["adjacency"][1] == np.dtype(bool)
+    f = feature_width(cfg.scenario)
+    k = 2 * 5       # agent-centric: a grid row per CAV, a cell per vehicle and row
+    want = {"cav_ids": ((slots, 2), np.uint8), "alive": ((slots, 1), np.uint8),
+            "sr_cells": ((slots, k), np.uint16), "sr_values": ((slots, k), np.float32)}
+    want |= {"gitsr": {"features": ((slots, 5, f), np.float32), "adjacency": ((slots, 4), np.uint8)},
+             "madqn": {"features": ((slots, 2, f), np.float32)},
+             "madqn_transformer": {}}[variant]
+    buf = trainer.buffer
+    assert {name: (ring.shape, ring.dtype) for name, ring in buf._states.items()} == \
+        {name: (shape, np.dtype(dtype)) for name, (shape, dtype) in want.items()}
+    assert buf._actions.dtype == np.uint8
