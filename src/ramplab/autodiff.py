@@ -245,19 +245,14 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def select_rows(a: Tensor, indices: np.ndarray) -> Tensor:
+    """The rows ``indices`` of ``a``, in their order; no two may name the
+    same row (a negative index names the row it counts back to), as the
+    gradient is scattered back by assignment."""
     indices = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        # Distinct rows take a plain assignment, far cheaper than
-        # np.add.at; + 0 turns -0.0 into +0.0, as adding onto a zero does.
-        # Distinctness is counted on a boolean mark, cheaper than a sort.
         out = np.zeros_like(a.data)
-        seen = np.zeros(len(a.data), dtype=bool)
-        seen[indices] = True
-        if np.count_nonzero(seen) == len(g):
-            out[indices] = g + 0
-        else:
-            np.add.at(out, indices, g)
+        out[indices] = g + 0   # + 0 turns -0.0 into +0.0, as adding onto a zero does
         return (out,)
 
     return _node(a.data[indices].copy(), "select_rows", (a,), vjp)

@@ -16,13 +16,12 @@ the dense layers; attention (``scene_attention``) and graph mixing
 a batch axis, so cross-scene mixing is structurally impossible.  Inactive
 CAVs (exited or collided) leave the transformer: a key mask keeps them out
 of every active CAV's attention, and an inactive CAV attends to itself only,
-so all of them share one Q row.  A forward may be asked for a subset of the
-CAV rows; if those are all active, only the active CAVs are tokens, and the
-layers that act row by row after the last attention (and the graph
-encoder's last projection) run only on the rows asked for.  Each variant
-names the optional snapshot fields its forward reads (``reads``), and
-:meth:`QNetwork.observe` builds only those; ``madqn`` keeps only its CAVs'
-feature rows.
+so all of them share one Q row.  A forward runs on every CAV row (acting)
+or on exactly the active CAV rows (learning, TD targets); then only the
+active CAVs are tokens, and the graph encoder's last projection and the Q
+head run on their rows alone.  Each variant names the optional snapshot
+fields its forward reads (``reads``), and :meth:`QNetwork.observe` builds
+only those; ``madqn`` keeps only its CAVs' feature rows.
 
 Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
 plus a little-endian float32 blob and round-trip bit-exactly.
@@ -187,18 +186,14 @@ def multi_head_attention(
     wo: Tensor,
     n_heads: int,
     n_scenes: int = 1,
-    rows: np.ndarray | None = None,
     alive: np.ndarray | None = None,
 ) -> Tensor:
     """Scaled dot-product attention with heads as column blocks of one
     projection, mixed by ``wo``; ``x`` holds ``n_scenes`` equal row blocks
     that attend only within themselves, under the (B, m) key mask ``alive``
-    if given (see ``scene_attention``).  Every row attends; with ``rows``,
-    only those output rows are mixed by ``wo`` and returned."""
+    if given (see ``scene_attention``)."""
     attended = scene_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), n_scenes, n_heads,
                                alive)
-    if rows is not None:
-        attended = select_rows(attended, rows)
     return matmul(attended, wo)
 
 
@@ -207,42 +202,26 @@ def transformer_encode(
     params: TransformerParams,
     n_heads: int,
     n_scenes: int = 1,
-    rows: np.ndarray | None = None,
     alive: np.ndarray | None = None,
 ) -> Tensor:
     """Embed grid rows and run the blocks: attention, a single residual, then
-    a layer-normalised MLP; the last block's output is the encoding, of
-    every row or of ``rows`` only, which every row still attends to.  With
+    a layer-normalised MLP; the last block's output is the encoding.  With
     the key mask ``alive`` (see ``scene_attention``), ``sr`` may hold the
     active tokens only."""
     x = dense(sr, params.embed_w, params.embed_b)
-    last = params.blocks[-1]
     for blk in params.blocks:
-        keep = rows if blk is last else None
         attended = multi_head_attention(x, blk.wq, blk.wk, blk.wv, blk.wo, n_heads, n_scenes,
-                                        keep, alive)
-        h = add(attended, x if keep is None else select_rows(x, keep))
+                                        alive)
+        h = add(attended, x)
         m = dense(relu(dense(h, blk.mlp_w1, blk.mlp_b1)), blk.mlp_w2, blk.mlp_b2)
         x = layer_norm_rows(m, blk.ln_g, blk.ln_b)
     return x
 
 
-def active_tokens(states: StateBatch, rows: np.ndarray | None = None):
-    """The transformer's tokens once inactive CAVs leave it, as the
-    scene-major CAV rows that are tokens and the token of each CAV row asked
-    for (``rows``, default all); None stands for every row and for the
-    tokens in order.
-
-    An inactive CAV attends to itself only and is attended to by none, so
-    when only active rows are asked for, only the active CAVs are tokens;
-    otherwise every CAV is, and each inactive one gets the same row."""
-    alive = states.alive.reshape(-1)
-    if rows is None or not alive[rows].all():
-        return None, rows
-    tokens = np.flatnonzero(alive)
-    if rows.size == tokens.size and np.array_equal(rows, tokens):
-        return tokens, None
-    return tokens, (np.cumsum(alive) - 1)[rows]
+def active_rows(states: StateBatch, active_only: bool) -> np.ndarray | None:
+    """The scene-major CAV rows a forward runs on: the active ones, or None
+    for every row."""
+    return np.flatnonzero(states.alive) if active_only else None
 
 
 def gcn_normalize(adjacency: np.ndarray) -> np.ndarray:
@@ -268,9 +247,9 @@ def gcn_forward(
     ``e_norm`` is one (n, n) scene or a (B, n, n) stack whose scenes own
     consecutive n-row blocks of ``features``.  Every node's row is returned,
     or, given ``cav_ids`` ((B, m) node of each CAV), one row per CAV,
-    scene-major, or only the ``rows`` among those.  The last layer mixes
-    before it projects, ``relu((E[cav] H) W)``, so only the returned rows
-    are projected."""
+    scene-major, or only the distinct ``rows`` among those.  The last layer
+    mixes before it projects, ``relu((E[cav] H) W)``, so only the returned
+    rows are projected."""
     n = e_norm.shape[-1]
     mixer = e_norm.reshape(-1, n, n)
     h = features
@@ -350,9 +329,9 @@ class QNetwork:
     reads: tuple[str, ...] = ()
 
     def forward_batch(self, states: StateBatch,
-                      rows: np.ndarray | None = None) -> Tensor:  # pragma: no cover
-        """Q rows for every CAV of every stacked state, scene-major, or only
-        for the scene-major CAV row indices ``rows``, in their order."""
+                      active_only: bool = False) -> Tensor:  # pragma: no cover
+        """Q rows for every CAV of every stacked state, scene-major, or with
+        ``active_only`` for the active CAVs alone, in the same order."""
         raise NotImplementedError
 
     def observe(self, world: WorldState, scenario: ScenarioConfig) -> StateSnapshot:
@@ -383,14 +362,13 @@ class QNetwork:
     # -- shared pieces ---------------------------------------------------
 
     def _encode(self, states: StateBatch, rows: np.ndarray | None) -> Tensor:
-        """Transformer encodings of the CAV rows ``rows`` (default all), with
-        inactive CAVs masked out of every other token's attention and, when
-        ``rows`` are all active, out of the transformer."""
-        tokens, out = active_tokens(states, rows)
+        """Transformer encodings of every CAV row, or of the active ones
+        (``rows``, from ``active_rows``) as the only tokens; inactive CAVs
+        are masked out of every other token's attention."""
         alive = None if states.alive.all() else states.alive
-        return transformer_encode(flat_rows(grid_rows(states, tokens), self.store.dtype),
+        return transformer_encode(flat_rows(grid_rows(states, rows), self.store.dtype),
                                   self.transformer, self.net_cfg.n_heads, len(states.alive),
-                                  out, alive)
+                                  alive)
 
     # -- persistence -----------------------------------------------------
 
@@ -424,8 +402,9 @@ class GitsrNetwork(QNetwork):
 
     reads = ("features", "adjacency")
 
-    def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
+    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
         dtype = self.store.dtype
+        rows = active_rows(states, active_only)
         x = self._encode(states, rows)
         e_norm = gcn_normalize(states.adjacency.astype(dtype))
         h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights,
@@ -442,8 +421,8 @@ class TransformerOnlyNetwork(QNetwork):
 
     reads = ()
 
-    def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
-        x = self._encode(states, rows)
+    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
+        x = self._encode(states, active_rows(states, active_only))
         return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
@@ -466,14 +445,14 @@ class BaselineNetwork(QNetwork):
         snap.features = snap.features[list(snap.cav_ids)]
         return snap
 
-    def forward_batch(self, states: StateBatch, rows: np.ndarray | None = None) -> Tensor:
+    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
         """Raises ``ValueError`` unless ``features`` holds m rows a scene,
         the CAVs' own, as :meth:`observe` makes them."""
         features = states.features
         if features.shape[-2] != states.alive.shape[1]:
             raise ValueError(f"madqn reads one feature row per CAV ({states.alive.shape[1]} a "
                              f"scene), got {features.shape[-2]}")
-        rows = cav_rows(states, rows)
+        rows = cav_rows(states, active_rows(states, active_only))
         own = features.reshape(-1, features.shape[-1])[rows]
         x = np.concatenate([own, grid_rows(states, rows)], axis=1)
         return q_head(flat_rows(x, self.store.dtype), None,

@@ -54,8 +54,10 @@ class Adam:
     (g^2 / (1 - beta2) > 3.4e38), against about 1.8e19 for the textbook v;
     the trainer clips the gradient norm to 10 first, so neither is reached.
 
-    ``step`` consumes the gradients (slots are cleared afterwards); parameters
-    with no gradient are left untouched and their moments do not advance.
+    ``step`` consumes the gradients: each is overwritten as its parameter's
+    work array, which backward makes its own, and the slots are cleared
+    afterwards.  Parameters with no gradient are left untouched and their
+    moments do not advance.
     """
 
     def __init__(self, store: ParamStore, lr: float):
@@ -64,9 +66,6 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
-        # one scratch array, sized to the largest parameter, serves every step
-        self._scratch = np.empty(max((t.data.size for _, t in store.items()), default=0),
-                                 dtype=store.dtype)
 
     def step(self) -> None:
         self.t += 1
@@ -80,15 +79,14 @@ class Adam:
             if g is None:
                 continue
             m, v = self.m[name], self.v[name]
-            a = self._scratch[:g.size].reshape(g.shape)
             m *= BETA1
             m += g
             v *= BETA2
-            np.square(g, out=a)
-            v += a
-            np.sqrt(v, out=a)
-            a += eps_v
-            np.divide(m, a, out=a)
-            a *= step_size
-            tensor.data -= a
+            np.square(g, out=g)
+            v += g
+            np.sqrt(v, out=g)
+            g += eps_v
+            np.divide(m, g, out=g)
+            g *= step_size
+            tensor.data -= g
             tensor.grad = None

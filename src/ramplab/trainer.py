@@ -73,18 +73,19 @@ def select_actions(q: np.ndarray, drawn: np.ndarray) -> np.ndarray:
 def td_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     """One float64 target per (transition, CAV): r plus the discounted max of
     the target network's next-state row, unless the transition ended the
-    episode or the CAV was inactive at either end.  The target network runs
-    only on the rows that bootstrap, and not at all if none does."""
+    episode or the CAV was inactive at s_next.  No stored transition
+    reactivates a CAV, so a CAV inactive at s is inactive at s_next too.
+    The target network runs on exactly the rows that bootstrap, and not at
+    all if none does."""
     live_next = batch.s_next.alive & ~batch.done[:, None]
-    bootstrap = batch.s.alive & live_next
-    y = np.repeat(batch.reward.astype(np.float64)[:, None], bootstrap.shape[1], axis=1)
-    rows = np.flatnonzero(bootstrap)
-    if rows.size:
+    y = np.repeat(batch.reward.astype(np.float64)[:, None], live_next.shape[1], axis=1)
+    if live_next.any():
         # a terminal row's s_next is unspecified (the replay may hold the
         # next episode's first state there), so none of its CAVs is a token
         with no_grad():
-            q_next = target_net.forward_batch(replace(batch.s_next, alive=live_next), rows).data
-        y.reshape(-1)[rows] += gamma * q_next.max(axis=1).astype(np.float64)
+            q_next = target_net.forward_batch(replace(batch.s_next, alive=live_next),
+                                              active_only=True).data
+        y[live_next] += gamma * q_next.max(axis=1).astype(np.float64)
     return y
 
 
@@ -101,13 +102,13 @@ def train_on_batch(
 ) -> float:
     """One gradient step of MSE TD loss over the batch's active CAVs; the
     online network computes Q rows for those CAVs only."""
-    rows = np.flatnonzero(batch.s.alive)   # scene-major, as the Q rows are
-    if rows.size == 0:
+    alive = batch.s.alive
+    if not alive.any():
         raise TrainingError("batch contains no active CAVs")
     y = td_targets(batch, target_net, gamma)
     net.store.zero_grads()
-    q = net.forward_batch(batch.s, rows)
-    loss = squared_error_at(q, batch.actions.reshape(-1)[rows], y.reshape(-1)[rows])
+    q = net.forward_batch(batch.s, active_only=True)
+    loss = squared_error_at(q, batch.actions[alive], y[alive])
     if not math.isfinite(loss.item()):
         raise TrainingError("non-finite TD loss")
     backward(loss)

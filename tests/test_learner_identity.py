@@ -6,8 +6,8 @@ finite-gradient check ahead of the clip; they change no output byte.  The
 all-rows references compute Q for every CAV row (every CAV a transformer
 token, the inactive ones masked out of the others' attention; the graph
 readout projecting every node before it mixes) and gather the active rows
-after; the learner computes only the rows its loss and targets read, which
-is exact in real arithmetic, so float64 agrees to rounding and ``madqn``,
+after; the learner's forwards run on the active CAV rows alone, which is
+exact in real arithmetic, so float64 agrees to rounding and ``madqn``,
 whose rows never mix, to the byte.
 Both paths run in this one process on the same batches, so the comparison
 holds on any BLAS build and thread count.
@@ -62,13 +62,13 @@ def reference_select_rows(a, indices):
 
 
 def reference_train_on_batch(batch, net, target_net, optimizer, gamma):
-    # The forward asks for the active rows, as the learner's does, so the
+    # The forward runs on the active rows, as the learner's does, so the
     # float32 bytes compared hang only on the reference ops; the all-rows
     # forward is checked in test_row_subset_learner_matches_the_all_rows_learner.
     rows = np.flatnonzero(batch.s.alive)
     y = td_targets(batch, target_net, gamma)
     net.store.zero_grads()
-    q = net.forward_batch(batch.s, rows)
+    q = net.forward_batch(batch.s, active_only=True)
     loss = reference_squared_error(q, np.arange(rows.size), batch.actions.reshape(-1)[rows],
                                    y.reshape(-1)[rows])
     backward(loss)

@@ -311,8 +311,9 @@ def test_gitsr_uses_graph_and_transformer_paths():
 
 
 def two_block_experiment(variant):
-    """Two transformer blocks and two graph layers, so the row subset is
-    taken after a block and a layer that still see every row."""
+    """Two transformer blocks and two graph layers, so the active-rows
+    forward runs a block on its tokens alone after another, and reads the
+    graph out after a layer that still sees every node."""
     return small_experiment(model_variant=variant,
                             network=dataclasses.replace(tiny_network(), n_blocks=2,
                                                         gcn_layers=2))
@@ -341,20 +342,24 @@ def test_observe_builds_exactly_the_fields_forward_reads(variant, representation
                 net.forward(dataclasses.replace(full, **{name: None}))
 
 
+# Some CAVs of each of three scenes marked inactive: the active rows are 1, 2
+# and 5 of six; every CAV of the last two scenes is active.
+SOME_ALIVE = np.array([[0, 1], [1, 0], [0, 1], [1, 1], [1, 1]], dtype=bool)
+
+
 @pytest.mark.parametrize("variant", MODEL_VARIANTS)
 def test_forward_on_a_row_subset_matches_the_full_forward(variant):
+    """The active-rows forward gives the all-rows forward's rows of the
+    active CAVs, when some CAVs are inactive and when none is."""
     cfg = two_block_experiment(variant)
     net = build_network(cfg, seed=6, dtype=np.float64)
     states = stack_states([make_snap(net, s, cfg.scenario) for s in range(5)])
-    full = net.forward_batch(states).data
-    rng = np.random.default_rng(6)
-    n_rows = len(full)
-    subsets = [np.array([0]), np.array([n_rows - 1]), np.arange(n_rows)]
-    subsets += [np.sort(rng.choice(n_rows, size=k, replace=False)) for k in (1, 3, 6, 9)]
-    for rows in subsets:
-        got = net.forward_batch(states, rows).data
-        assert got.shape == (len(rows), 9)
-        np.testing.assert_allclose(got, full[rows], rtol=1e-12, atol=1e-12)
+    for alive in (SOME_ALIVE, np.ones_like(SOME_ALIVE)):
+        some = dataclasses.replace(states, alive=alive)
+        full = net.forward_batch(some).data
+        got = net.forward_batch(some, active_only=True).data
+        assert got.shape == (np.count_nonzero(alive), 9)
+        np.testing.assert_allclose(got, full[alive.reshape(-1)], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", MODEL_VARIANTS)
@@ -362,12 +367,12 @@ def test_row_subset_loss_gradient_matches_finite_differences(variant):
     cfg = two_block_experiment(variant)
     net = build_network(cfg, seed=7, dtype=np.float64)
     states = stack_states([make_snap(net, s, cfg.scenario) for s in range(3)])
-    rows = np.array([1, 2, 5])
+    states = dataclasses.replace(states, alive=SOME_ALIVE[:3])
     rng = np.random.default_rng(7)
-    weights = Tensor(rng.normal(size=(len(rows), 9)))
+    weights = Tensor(rng.normal(size=(3, 9)))
 
     def loss():
-        return sum_all(mul(net.forward_batch(states, rows), weights))
+        return sum_all(mul(net.forward_batch(states, active_only=True), weights))
 
     net.store.zero_grads()
     backward(loss())
@@ -448,19 +453,17 @@ def scene(states, b):
 def test_packed_forward_matches_a_padded_reference(variant, representation):
     net, states = mixed_batch(variant, representation)
     want = padded_reference_q(net, states)
-    active = np.flatnonzero(states.alive)
     np.testing.assert_allclose(net.forward_batch(states).data, want, rtol=0, atol=1e-12)
-    for rows in (active, active[::2], active[[3, 0]]):   # the learner's, and subsets
-        np.testing.assert_allclose(net.forward_batch(states, rows).data, want[rows],
-                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(net.forward_batch(states, active_only=True).data,
+                               want[states.alive.reshape(-1)], rtol=0, atol=1e-12)
     m = states.alive.shape[1]
     for b in range(len(states.alive)):   # one scene: its active rows are the whole scene
         one = scene(states, b)
         np.testing.assert_allclose(net.forward_batch(one).data, want[b * m:(b + 1) * m],
                                    rtol=0, atol=1e-12)
         if one.alive.any():
-            rows = np.flatnonzero(one.alive)
-            np.testing.assert_allclose(net.forward_batch(one, rows).data, want[b * m + rows],
+            np.testing.assert_allclose(net.forward_batch(one, active_only=True).data,
+                                       want[b * m + np.flatnonzero(one.alive)],
                                        rtol=0, atol=1e-12)
 
 

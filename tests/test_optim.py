@@ -245,16 +245,17 @@ def test_clip_and_step_allocate_no_parameter_sized_arrays():
     assert peak < param_bytes / 4
 
 
-def test_adam_state_is_two_moments_and_one_largest_parameter():
-    """Besides m and v, Adam holds one scratch array the size of the
-    largest parameter, shared by every tensor's step."""
+def test_adam_state_is_two_moments_only():
+    """Adam holds m and v and no other parameter-sized array: a step works
+    in the gradient it consumes.  A scratch array the size of the largest
+    parameter would not fit in the 64 KB slack."""
     store = build_network(ExperimentConfig(), seed=0).store
     param_bytes = sum(t.data.nbytes for _, t in store.items())
-    largest = max(t.data.nbytes for _, t in store.items())
+    assert max(t.data.nbytes for _, t in store.items()) > 64 * 1024
     tracemalloc.start()
     try:
         opt = Adam(store, lr=1e-3)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 2 * param_bytes + largest <= held < 2 * param_bytes + largest + 64 * 1024
+    assert 2 * param_bytes <= held < 2 * param_bytes + 64 * 1024

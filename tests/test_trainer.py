@@ -102,9 +102,9 @@ class FakeTargetNet:
     def __init__(self, q_rows):
         self.q_rows = np.asarray(q_rows, dtype=float)
 
-    def forward_batch(self, states, rows):
+    def forward_batch(self, states, active_only=False):
         out = lambda: None
-        out.data = self.q_rows[rows]
+        out.data = self.q_rows[states.alive.reshape(-1)] if active_only else self.q_rows
         return out
 
 
@@ -132,24 +132,49 @@ def test_td_targets_bootstrap_and_cutoffs():
 
 
 def test_td_targets_inactive_at_start_gets_raw_reward():
-    batch = fake_batch([3.0], [False], [[False, True]], [[True, True]])
+    # a CAV inactive at s is inactive at s_next (see
+    # test_replay_never_reactivates_a_cav)
+    batch = fake_batch([3.0], [False], [[False, True]], [[False, True]])
     y = td_targets(batch, FakeTargetNet(np.full((2, 3), 10.0)), gamma=0.9)
     np.testing.assert_allclose(y, [[3.0, 3.0 + 9.0]])
 
 
 class UncallableTargetNet:
-    def forward_batch(self, states, rows):
+    def forward_batch(self, states, active_only=False):
         raise AssertionError("the target network ran without a bootstrap row")
 
 
 def test_td_targets_without_a_bootstrap_row_skips_the_target_network():
-    # terminal, inactive at s, or gone at s_next: no row bootstraps
+    # terminal, or every CAV inactive at s_next: no row bootstraps
     batch = fake_batch([1.5, -0.5, 2.0], [True, False, False],
-                       [[True, True], [False, True], [True, False]],
-                       [[True, True], [True, False], [False, True]])
+                       [[True, True], [False, True], [True, True]],
+                       [[True, True], [False, False], [False, False]])
     y = td_targets(batch, UncallableTargetNet(), gamma=0.9)
     assert y.dtype == np.float64
     np.testing.assert_array_equal(y, [[1.5, 1.5], [-0.5, -0.5], [2.0, 2.0]])
+
+
+def test_replay_never_reactivates_a_cav():
+    """td_targets bootstraps every CAV active at a non-terminal s_next, which
+    is the same as every CAV active at both ends because no stored
+    transition reactivates a CAV: on every non-terminal row of a trainer's
+    replay, before and after its ring wraps, the CAVs active at s_next are
+    among those active at s.  A row paired with a state of another episode
+    breaks this wherever that state has a CAV active that the row's s had
+    lost."""
+    capacity = 60
+    cfg = small_experiment(model_variant="madqn")
+    cfg = dataclasses.replace(cfg, training=dataclasses.replace(
+        cfg.training, warmup_steps=10 ** 9, buffer_capacity=capacity))
+    trainer = Trainer(cfg, seed=0)
+    lost = 0
+    while trainer.env_steps < 5 * capacity:
+        trainer.run_episode()
+        batch = trainer.buffer.sample(len(trainer.buffer))
+        live = ~batch.done
+        assert not (batch.s_next.alive & ~batch.s.alive)[live].any()
+        lost += np.count_nonzero(~batch.s.alive[live])
+    assert trainer.buffer._adds > 2 * capacity and lost > capacity
 
 
 # -- gradient steps -------------------------------------------------------
@@ -253,22 +278,22 @@ def test_train_on_batch_rejects_non_finite_gradient_before_adam(monkeypatch, dty
 
 
 # Reference: the per-(transition, CAV) loops the vectorised code replaced.
-# Their forwards ask for the rows they read, as the learner's do: a float32
+# Their forwards run on the active rows, as the learner's do: a float32
 # GEMM's row results may depend on its row count, and these references check
-# the loops byte for byte.  The row cut itself is checked against an all-rows
-# learner in test_learner_identity's
+# the loops byte for byte.  The active-rows forward itself is checked against
+# an all-rows learner in test_learner_identity's
 # test_row_subset_learner_matches_the_all_rows_learner.
 def loop_td_targets(batch, target_net, gamma):
     n_scenes, n_cavs = batch.actions.shape
     boot = [b * n_cavs + i for b in range(n_scenes) for i in range(n_cavs)
-            if batch.s.alive[b, i] and not batch.done[b] and batch.s_next.alive[b, i]]
+            if not batch.done[b] and batch.s_next.alive[b, i]]
     # no CAV of a terminal row's s_next is a token of the target forward
     live_next = batch.s_next.alive & ~batch.done[:, None]
     q_next = {}
     if boot:
         with no_grad():
             q_next = dict(zip(boot, target_net.forward_batch(
-                dataclasses.replace(batch.s_next, alive=live_next), np.array(boot)).data))
+                dataclasses.replace(batch.s_next, alive=live_next), active_only=True).data))
     y = np.empty((n_scenes, n_cavs))
     for b in range(n_scenes):
         reward = float(batch.reward[b])
@@ -289,7 +314,7 @@ def loop_train_on_batch(batch, net, target_net, optimizer, gamma):
                 cols.append(int(batch.actions[b, i]))
                 targets.append(y[b, i])
     net.store.zero_grads()
-    loss = reference_squared_error(net.forward_batch(batch.s, np.array(rows)),
+    loss = reference_squared_error(net.forward_batch(batch.s, active_only=True),
                                    np.arange(len(rows)), np.array(cols), np.array(targets))
     ad.backward(loss)
     clip_global_grad_norm(net.store, MAX_GRAD_NORM)
@@ -349,9 +374,9 @@ def test_td_targets_ignore_s_next_on_terminal_rows(variant):
     seen = []
     forward_batch = target.forward_batch
 
-    def spy(states, rows=None):
+    def spy(states, active_only=False):
         seen.append(states.alive.copy())
-        return forward_batch(states, rows)
+        return forward_batch(states, active_only)
 
     target.forward_batch = spy
 
