@@ -174,7 +174,7 @@ def cmd_trace(args) -> int:
                          "r_collision": "", "r_intention": "", "r_total": ""})
 
     def record(s, actions, reward, s_next, done) -> None:
-        acted = {vid: int(actions[row]) for row, vid in enumerate(s.cav_ids) if s.alive[row]}
+        acted = {vid: int(actions[vid]) for vid in range(s.n_cavs) if s.alive[vid]}
         for i, row in enumerate(trace_rows(world)):
             # reward cells appear once per step, on its first row, so the
             # r_total column sums to the episode return

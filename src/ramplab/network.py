@@ -19,9 +19,10 @@ of every active CAV's attention, and an inactive CAV attends to itself only,
 so all of them share one Q row.  A forward runs on every CAV row (acting)
 or on exactly the active CAV rows (learning, TD targets); then only the
 active CAVs are tokens, and the graph encoder's last projection and the Q
-head run on their rows alone.  Each variant names the optional snapshot
-fields its forward reads (``reads``), and :meth:`QNetwork.observe` builds
-only those; ``madqn`` keeps only its CAVs' feature rows.
+head run on their rows alone.  The CAVs are vehicles 0..m-1, so the graph
+readout is the first m rows of each scene.  Each variant names the snapshot
+fields its forward reads, the node feature rows included (``madqn`` reads
+its CAVs' rows only), and :meth:`QNetwork.observe` builds only those.
 
 Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
 plus a little-endian float32 blob and round-trip bit-exactly.
@@ -56,7 +57,6 @@ from ramplab.representation import (
     StateBatch,
     StateSnapshot,
     build_state,
-    cav_rows,
     feature_width,
     grid_rows,
     grid_width,
@@ -239,23 +239,23 @@ def gcn_forward(
     features: Tensor,
     e_norm: np.ndarray,
     weights: list[Tensor],
-    cav_ids: np.ndarray | None = None,
+    n_cavs: int | None = None,
     rows: np.ndarray | None = None,
 ) -> Tensor:
     """Stacked graph convolutions, ReLU after every layer including the last.
 
     ``e_norm`` is one (n, n) scene or a (B, n, n) stack whose scenes own
     consecutive n-row blocks of ``features``.  Every node's row is returned,
-    or, given ``cav_ids`` ((B, m) node of each CAV), one row per CAV,
-    scene-major, or only the distinct ``rows`` among those.  The last layer
-    mixes before it projects, ``relu((E[cav] H) W)``, so only the returned
-    rows are projected."""
+    or, given ``n_cavs`` (the CAVs are nodes 0..m-1 of each scene), one row
+    per CAV, scene-major, or only the distinct ``rows`` among those.  The
+    last layer mixes before it projects, ``relu((E[:m] H) W)``, so only the
+    returned rows are projected."""
     n = e_norm.shape[-1]
     mixer = e_norm.reshape(-1, n, n)
     h = features
     for w in weights[:-1]:
         h = relu(scene_matmul(mixer, matmul(h, w)))
-    readout = mixer if cav_ids is None else mixer[np.arange(len(mixer))[:, None], cav_ids]
+    readout = mixer if n_cavs is None else mixer[:, :n_cavs]
     mixed = scene_matmul(readout, h)
     if rows is not None:
         mixed = select_rows(mixed, rows)
@@ -325,8 +325,12 @@ class QNetwork:
 
     # -- forward ---------------------------------------------------------
 
-    # Optional StateBatch fields that forward_batch reads.
-    reads: tuple[str, ...] = ()
+    # Whether forward_batch reads the adjacency.
+    reads_adjacency = False
+
+    def feature_rows(self, world: WorldState) -> int:
+        """How many leading vehicles' node feature rows forward_batch reads."""
+        return 0
 
     def forward_batch(self, states: StateBatch,
                       active_only: bool = False) -> Tensor:  # pragma: no cover
@@ -336,10 +340,10 @@ class QNetwork:
 
     def observe(self, world: WorldState, scenario: ScenarioConfig) -> StateSnapshot:
         """Snapshot of ``world`` in this network's representation, with only
-        the optional fields its forward reads built."""
+        the feature rows and optional fields its forward reads built."""
         return build_state(world, scenario, self.representation,
-                           with_features="features" in self.reads,
-                           with_adjacency="adjacency" in self.reads)
+                           feature_rows=self.feature_rows(world),
+                           with_adjacency=self.reads_adjacency)
 
     def forward(self, snap: StateSnapshot) -> Tensor:
         """Q rows of one snapshot, as ``forward_batch`` of a batch of one
@@ -400,7 +404,10 @@ class GitsrNetwork(QNetwork):
                 + [(f"gcn.l{i}.w", (dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
                 + qhead_shapes(net_cfg, 2 * net_cfg.d_model))
 
-    reads = ("features", "adjacency")
+    reads_adjacency = True
+
+    def feature_rows(self, world: WorldState) -> int:
+        return len(world.vehicles)
 
     def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
         dtype = self.store.dtype
@@ -408,7 +415,7 @@ class GitsrNetwork(QNetwork):
         x = self._encode(states, rows)
         e_norm = gcn_normalize(states.adjacency.astype(dtype))
         h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights,
-                        states.cav_ids, rows)
+                        states.alive.shape[1], rows)
         return q_head(x, h, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 
 
@@ -418,8 +425,6 @@ class TransformerOnlyNetwork(QNetwork):
     @classmethod
     def param_shapes(cls, net_cfg, input_width, feat_width):
         return transformer_shapes(net_cfg, input_width) + qhead_shapes(net_cfg, net_cfg.d_model)
-
-    reads = ()
 
     def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
         x = self._encode(states, active_rows(states, active_only))
@@ -436,14 +441,9 @@ class BaselineNetwork(QNetwork):
     def param_shapes(cls, net_cfg, input_width, feat_width):
         return qhead_shapes(net_cfg, feat_width + input_width)
 
-    reads = ("features",)
-
-    def observe(self, world: WorldState, scenario: ScenarioConfig) -> StateSnapshot:
-        """As :meth:`QNetwork.observe`, with ``features`` cut to the CAVs'
-        own rows, (m, f) in ``cav_ids`` order: no other row is read."""
-        snap = super().observe(world, scenario)
-        snap.features = snap.features[list(snap.cav_ids)]
-        return snap
+    def feature_rows(self, world: WorldState) -> int:
+        """The CAVs' own rows, (m, f): no other row is read."""
+        return len(world.cav_ids())
 
     def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
         """Raises ``ValueError`` unless ``features`` holds m rows a scene,
@@ -452,9 +452,9 @@ class BaselineNetwork(QNetwork):
         if features.shape[-2] != states.alive.shape[1]:
             raise ValueError(f"madqn reads one feature row per CAV ({states.alive.shape[1]} a "
                              f"scene), got {features.shape[-2]}")
-        rows = cav_rows(states, active_rows(states, active_only))
-        own = features.reshape(-1, features.shape[-1])[rows]
-        x = np.concatenate([own, grid_rows(states, rows)], axis=1)
+        rows = active_rows(states, active_only)
+        own = features.reshape(-1, features.shape[-1])
+        x = np.concatenate([own if rows is None else own[rows], grid_rows(states, rows)], axis=1)
         return q_head(flat_rows(x, self.store.dtype), None,
                       self.q_w1, self.q_b1, self.q_w2, self.q_b2)
 

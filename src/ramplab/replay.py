@@ -3,8 +3,7 @@ sampling.  Each state is stored once: a transition's ``s_next`` is the next
 transition's ``s``, as in Dopamine's circular replay (Castro et al.,
 arXiv:1812.06110).  Each ring holds its field at the narrowest exact width:
 occupancy grids as their occupied cells, bools packed eight to a byte, and
-vehicle ids and action indices in the smallest unsigned type that holds
-them."""
+action indices in the smallest unsigned type that holds them."""
 from __future__ import annotations
 
 import math
@@ -50,9 +49,8 @@ class ReplayBuffer:
     (None fields get none), with that array's shape and dtype, except:
 
     * bool fields (``adjacency``, ``alive``) are ``np.packbits`` rows;
-    * ``cav_ids`` take the smallest unsigned type that holds a vehicle
-      index, and actions the one that holds an index below ``N_ACTIONS``
-      (uint8 both);
+    * actions take the smallest unsigned type that holds an index below
+      ``N_ACTIONS`` (uint8);
     * the grid ``sr`` is mostly empty, so its rings ``sr_cells`` and
       ``sr_values`` hold the flat indices and values of its cells whose
       bits are not all zero (so -0.0 is kept), K per state, padded with
@@ -80,8 +78,6 @@ class ReplayBuffer:
         for name, a in first.items():
             if a.dtype == bool:
                 slot, dtype = np.packbits(a).shape, np.uint8
-            elif name == "cav_ids":
-                slot, dtype = a.shape, np.min_scalar_type(len(s.mask) - 1)
             else:
                 slot, dtype = a.shape, a.dtype
             self._states[name] = np.zeros((self.capacity + 1, *slot), dtype=dtype)

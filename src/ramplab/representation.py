@@ -103,18 +103,10 @@ def build_scene_grid(world: WorldState, config: ScenarioConfig) -> np.ndarray:
     return grid
 
 
-def build_scene_representation(world: WorldState, config: ScenarioConfig) -> np.ndarray:
-    """Stacked flattened agent-centric grids, one row per CAV in id order.
-    Rows of inactive CAVs are zero."""
-    cav_ids = world.cav_ids()
-    out = np.zeros((len(cav_ids), config.n_lanes * AGENT_GRID_COLS))
-    for row, vid in enumerate(cav_ids):
-        out[row] = build_local_grid(world, vid, config).reshape(-1)
-    return out
-
-
-def build_feature_matrix(world: WorldState, config: ScenarioConfig) -> np.ndarray:
-    """Per-vehicle node features, one row per vehicle id; inactive rows zero.
+def build_feature_matrix(world: WorldState, config: ScenarioConfig,
+                         n_rows: int | None = None) -> np.ndarray:
+    """Per-vehicle node features, one row per vehicle id for the leading
+    ``n_rows`` vehicles (default: every vehicle); inactive rows zero.
 
     Columns: x / road_length, v / v_max, lane, intention code, then the
     normalised distance to the nearest leader in each lane and to the nearest
@@ -122,9 +114,12 @@ def build_feature_matrix(world: WorldState, config: ScenarioConfig) -> np.ndarra
     ahead and followers strictly behind, so neither the vehicle itself nor
     one at the same x counts.
     """
-    out = np.zeros((len(world.vehicles), feature_width(config)))
+    vehicles = world.vehicles if n_rows is None else world.vehicles[:n_rows]
+    out = np.zeros((len(vehicles), feature_width(config)))
     lanes = [[veh.x for veh in lane] for lane in lane_index(world, config.n_lanes)]
-    for veh in world.active_vehicles():
+    for veh in vehicles:
+        if not veh.active:
+            continue
         leaders, followers = [], []
         for xs in lanes:
             ahead, behind = bisect_right(xs, veh.x), bisect_left(xs, veh.x) - 1
@@ -161,49 +156,42 @@ def build_adjacency(world: WorldState, config: ScenarioConfig) -> np.ndarray:
     return adj
 
 
-def build_mask(world: WorldState) -> np.ndarray:
-    """1.0 on CAV rows, 0.0 on HDV rows (by kind, independent of activity,
-    so shapes and masks stay constant across an episode)."""
-    return np.array([1.0 if veh.kind.is_cav else 0.0 for veh in world.vehicles])
-
-
 @dataclass
 class StateSnapshot:
     """Everything the networks may consume about one world state: float32
     arrays, except the 0/1 ``adjacency`` (bool) and ``alive``.
 
-    ``sr`` is one agent-centric grid row per CAV in ``cav_ids`` order, or the
-    one flattened scene-centric grid; :func:`grid_rows` gives the per-CAV rows
-    the networks read.  ``adjacency``/``mask`` rows follow vehicle id order,
-    and so do ``features`` rows, one per vehicle (n, f), except in a
-    ``madqn`` snapshot, which keeps only the CAVs' rows (m, f) in
-    ``cav_ids`` order.  ``alive`` flags which CAVs were active when the
-    snapshot was taken.  ``features`` and ``adjacency`` are None where the
-    network does not read them (see ``QNetwork.observe``).
+    The m CAVs are vehicles 0..m-1, so CAV row i is vehicle i throughout.
+    ``sr`` is one agent-centric grid row per CAV, or the one flattened
+    scene-centric grid; :func:`grid_rows` gives the per-CAV rows the
+    networks read.  ``adjacency``/``mask`` rows follow vehicle id order, and
+    so do ``features`` rows: one per vehicle (n, f), or in a ``madqn``
+    snapshot the leading m, the CAVs' own.  ``mask`` is 1.0 on the CAV rows
+    and 0.0 on the rest, and ``alive`` flags which CAVs were active when
+    the snapshot was taken.  ``features`` and ``adjacency`` are None where
+    the network does not read them (see ``QNetwork.observe``).
     """
 
     sr: np.ndarray
     features: np.ndarray | None
     adjacency: np.ndarray | None
     mask: np.ndarray
-    cav_ids: tuple[int, ...]
     alive: np.ndarray
 
     @property
     def n_cavs(self) -> int:
-        return len(self.cav_ids)
+        return len(self.alive)
 
 
 @dataclass
 class StateBatch:
     """``B`` states stacked along a leading axis, as the networks take them:
-    ``sr`` (B, m, w) or (B, 1, w), ``cav_ids`` (int64) and ``alive`` (bool)
-    (B, m), ``features`` (B, n, f), or (B, m, f) for ``madqn``, and bool
-    ``adjacency`` (B, n, n), None where the variant reads none.  The replay
-    stores them narrower and gives them back in these dtypes."""
+    ``sr`` (B, m, w) or (B, 1, w), ``alive`` (bool) (B, m), ``features``
+    (B, n, f), or (B, m, f) for ``madqn``, and bool ``adjacency`` (B, n, n),
+    None where the variant reads none.  The replay stores them narrower and
+    gives them back in these dtypes."""
 
     sr: np.ndarray
-    cav_ids: np.ndarray
     alive: np.ndarray
     features: np.ndarray | None = None
     adjacency: np.ndarray | None = None
@@ -218,17 +206,12 @@ def stack_states(snaps: list[StateSnapshot]) -> StateBatch:
     return StateBatch(**{f.name: stacked(f.name) for f in fields(StateBatch)})
 
 
-def cav_rows(states: StateBatch, rows: np.ndarray | None = None) -> np.ndarray:
-    """The scene-major CAV row indices ``rows``, by default all B*m."""
-    return np.arange(states.alive.size) if rows is None else rows
-
-
 def grid_rows(states: StateBatch, rows: np.ndarray | None = None) -> np.ndarray:
     """(r, w) grid rows of the scene-major CAV rows ``rows`` (default: all
     B*m), one per CAV: its own agent-centric row or the shared scene grid,
     +0.0 for CAVs inactive in that state.  A product with ``alive`` would
     give -0.0 in the negated CAV cells of a scene grid."""
-    rows = cav_rows(states, rows)
+    rows = np.arange(states.alive.size) if rows is None else rows
     grids = states.sr.reshape(-1, states.sr.shape[-1])
     out = grids.take(rows // states.alive.shape[1] if states.sr.shape[1] == 1 else rows, axis=0)
     out[~states.alive.reshape(-1)[rows]] = 0.0   # a fresh copy: take
@@ -240,24 +223,33 @@ def build_state(
     config: ScenarioConfig,
     representation: str,
     *,
-    with_features: bool = True,
+    feature_rows: int | None = None,
     with_adjacency: bool = True,
 ) -> StateSnapshot:
-    """Snapshot the world into network inputs under the given representation."""
+    """Snapshot the world into network inputs under the given representation.
+
+    ``features`` holds the leading ``feature_rows`` vehicles' rows (default:
+    every vehicle's), or is None for 0.  Raises ``ValueError`` unless the
+    CAVs are vehicles 0..m-1, as ``simulation.reset`` makes them."""
+    cavs = world.cav_ids()
+    m = len(cavs)
+    if cavs != list(range(m)):
+        raise ValueError(f"the CAVs must be vehicles 0..{m - 1}, got {cavs}")
     if representation == "agent_centric":
-        sr = build_scene_representation(world, config)
+        sr = np.zeros((m, config.n_lanes * AGENT_GRID_COLS))
+        for vid in range(m):
+            sr[vid] = build_local_grid(world, vid, config).reshape(-1)
     elif representation == "scene_centric":
         sr = build_scene_grid(world, config).reshape(1, -1)
     else:
         raise ValueError(f"unknown representation {representation!r}")
-    cav_ids = tuple(world.cav_ids())
-    features = build_feature_matrix(world, config).astype(np.float32) if with_features else None
+    features = (build_feature_matrix(world, config, feature_rows).astype(np.float32)
+                if feature_rows != 0 else None)
     adjacency = build_adjacency(world, config).astype(bool) if with_adjacency else None
     return StateSnapshot(
         sr=sr.astype(np.float32),
         features=features,
         adjacency=adjacency,
-        mask=build_mask(world).astype(np.float32),
-        cav_ids=cav_ids,
-        alive=np.array([world.vehicle(vid).active for vid in cav_ids], dtype=bool),
+        mask=(np.arange(len(world.vehicles)) < m).astype(np.float32),
+        alive=np.array([veh.active for veh in world.vehicles[:m]], dtype=bool),
     )

@@ -188,8 +188,8 @@ def rollout(
     while not done:
         actions = policy(snap)
         commands = {
-            vid: ActionCommand.from_index(int(actions[row]))
-            for row, vid in enumerate(snap.cav_ids) if snap.alive[row]
+            vid: ActionCommand.from_index(int(actions[vid]))
+            for vid in range(snap.n_cavs) if snap.alive[vid]
         }
         events = step(world, commands, cfg.scenario)
         reward = compute_reward(world, events, cfg.training.weights, cfg.scenario)

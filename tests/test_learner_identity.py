@@ -78,7 +78,7 @@ def reference_train_on_batch(batch, net, target_net, optimizer, gamma):
     return loss.item()
 
 
-def all_nodes_gcn_forward(features, e_norm, weights, cav_ids=None, rows=None):
+def all_nodes_gcn_forward(features, e_norm, weights, n_cavs=None, rows=None):
     """Every layer projects every node and then mixes; the CAV rows are
     picked from the last layer's output."""
     n = e_norm.shape[-1]
@@ -86,10 +86,10 @@ def all_nodes_gcn_forward(features, e_norm, weights, cav_ids=None, rows=None):
     h = features
     for w in weights:
         h = relu(scene_matmul(mixer, matmul(h, w)))
-    if cav_ids is None:
+    if n_cavs is None:
         return h
     assert rows is None
-    return select_rows(h, (np.arange(len(mixer))[:, None] * n + cav_ids).reshape(-1))
+    return select_rows(h, (np.arange(len(mixer))[:, None] * n + np.arange(n_cavs)).reshape(-1))
 
 
 def all_rows_td_targets(batch, target_net, gamma):

@@ -299,7 +299,7 @@ def test_gitsr_uses_graph_and_transformer_paths():
     # perturbing the features of an HDV a CAV can perceive flows via the GCN
     hdv_row = next(
         i for i in range(snap.features.shape[0])
-        if i not in snap.cav_ids and any(snap.adjacency[c, i] for c in snap.cav_ids)
+        if i >= snap.n_cavs and snap.adjacency[:snap.n_cavs, i].any()
     )
     bumped = dataclasses.replace(snap, features=snap.features.copy())
     bumped.features[hdv_row, 1] += 0.5
@@ -329,13 +329,12 @@ def test_observe_builds_exactly_the_fields_forward_reads(variant, representation
     world = random_rollout(cfg.scenario, seed=6, n_steps=4)
     full = build_state(world, cfg.scenario, representation)
     if variant == "madqn":      # reads only its CAVs' feature rows
-        full = dataclasses.replace(full, features=full.features[list(full.cav_ids)])
+        full = dataclasses.replace(full, features=full.features[:full.n_cavs])
     seen = net.observe(world, cfg.scenario)
     assert net.forward(seen).data.tobytes() == net.forward(full).data.tobytes()
     for name in ("sr", "features", "adjacency", "mask", "alive"):
         if getattr(seen, name) is not None:
             assert getattr(seen, name).tobytes() == getattr(full, name).tobytes()
-    assert seen.cav_ids == full.cav_ids
     for name in ("features", "adjacency"):
         if getattr(seen, name) is not None:
             with pytest.raises((AttributeError, TypeError)):
@@ -421,9 +420,10 @@ def padded_reference_q(net, states):
         x = x * blk.ln_g.data + blk.ln_b.data
     if net.variant == "gitsr":
         graph = gcn_forward(Tensor(states.features.reshape(-1, states.features.shape[-1])),
-                            gcn_normalize(states.adjacency.astype(float)), net.gcn_weights,
-                            states.cav_ids).data
-        x = np.hstack([x, graph])
+                            gcn_normalize(states.adjacency.astype(float)), net.gcn_weights).data
+        # every node's row, of which the CAVs', nodes 0..m-1 of each scene
+        graph = graph.reshape(n_scenes, -1, graph.shape[1])[:, :m]
+        x = np.hstack([x, graph.reshape(x.shape[0], -1)])
     return np.maximum(x @ net.q_w1.data + net.q_b1.data, 0) @ net.q_w2.data + net.q_b2.data
 
 

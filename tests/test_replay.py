@@ -20,7 +20,7 @@ def stub_snapshot(tag: int) -> StateSnapshot:
     # three vehicles: K = 2 grid rows x 3 = 6, room for the full 2 x 3 grid
     return StateSnapshot(
         sr=np.full((2, 3), tag, dtype=np.float32), features=None, adjacency=None,
-        mask=np.ones(3, dtype=np.float32), cav_ids=(0, 1), alive=np.array([True, True]),
+        mask=np.array([1, 1, 0], dtype=np.float32), alive=np.array([True, True]),
     )
 
 
@@ -174,8 +174,7 @@ def random_snapshot(rng: np.random.Generator) -> StateSnapshot:
         sr=sr.astype(np.float32),
         features=rng.standard_normal((3, 2)).astype(np.float32),
         adjacency=rng.random((3, 3)) < 0.5,
-        mask=np.ones(3, dtype=np.float32),
-        cav_ids=tuple(int(i) for i in rng.integers(0, 9, size=2)),
+        mask=np.array([1, 1, 0], dtype=np.float32),
         alive=rng.random(2) < 0.5,
     )
 
@@ -324,7 +323,7 @@ def test_trainer_replay_stores_one_snapshot_per_transition():
                          for f in dataclasses.fields(StateBatch)
                          if getattr(snap, f.name) is not None)
     per_transition = cfg.scenario.n_cav + 8 + 1
-    assert (snapshot_bytes, per_transition) == (3240, 13)
+    assert (snapshot_bytes, per_transition) == (3208, 13)
     assert buf._actions.nbytes + buf._reward.nbytes + buf._done.nbytes == capacity * 13
     ring_bytes = (sum(ring.nbytes for ring in buf._states.values())
                   + buf._actions.nbytes + buf._reward.nbytes + buf._done.nbytes)
@@ -352,8 +351,8 @@ def test_ring_bytes_per_transition(variant, representation):
     ``nbytes`` over capacity less the one extra state slot, are exactly
     README's table.  The grid rings hold K = rows x vehicles cells a state
     (2-byte indices and float32 values), against 2448 B (agent-centric)
-    and 2412 B (scene-centric) of dense grid; bools take a bit each, ids
-    and actions a byte."""
+    and 2412 B (scene-centric) of dense grid; bools take a bit each, and
+    actions a byte."""
     cfg = dataclasses.replace(ExperimentConfig(), model_variant=variant,
                               representation=representation)
     capacity = 1000

@@ -11,9 +11,7 @@ from ramplab.representation import (
     build_adjacency,
     build_feature_matrix,
     build_local_grid,
-    build_mask,
     build_scene_grid,
-    build_scene_representation,
     build_state,
     feature_width,
     grid_rows,
@@ -150,7 +148,7 @@ def test_stacked_rows_follow_cav_id_order():
         cav(1, kind=VehicleKind.CAV_RAMP2, lane=2, x=390.0, v=0.0, active=False),
         vehicle(2, lane=3, x=12.0, v=5.0),
     )
-    sr = build_scene_representation(world, CFG)
+    sr = build_state(world, CFG, "agent_centric").sr
     assert sr.shape == (2, 153)
     assert np.allclose(sr[0], build_local_grid(world, 0, CFG).reshape(-1))
     assert np.count_nonzero(sr[1]) == 0
@@ -343,10 +341,19 @@ def test_adjacency_inactive_keeps_self_loop_only():
 def test_mask_is_kind_based():
     world = world_of(
         cav(0, active=False),
-        vehicle(1),
-        cav(2, kind=VehicleKind.CAV_RAMP2),
+        cav(1, kind=VehicleKind.CAV_RAMP2),
+        vehicle(2),
     )
-    np.testing.assert_array_equal(build_mask(world), [1.0, 0.0, 1.0])
+    snap = build_state(world, CFG, "agent_centric")
+    np.testing.assert_array_equal(snap.mask, [1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(snap.alive, [False, True])
+
+
+def test_build_state_refuses_cavs_that_are_not_vehicles_0_to_m_minus_1():
+    world = world_of(cav(0), vehicle(1), cav(2))
+    for representation in ("agent_centric", "scene_centric"):
+        with pytest.raises(ValueError, match="vehicles 0..1"):
+            build_state(world, CFG, representation)
 
 
 # -- snapshots ------------------------------------------------------------
@@ -358,12 +365,12 @@ def test_build_state_shapes_and_flags():
     assert snap.sr.shape == (4, 153) and snap.sr.dtype == np.float32
     assert snap.features.shape == (14, 10)
     assert snap.adjacency.shape == (14, 14) and snap.adjacency.dtype == bool
-    assert snap.mask.sum() == 4.0
-    assert snap.cav_ids == (0, 1, 2, 3)
+    assert snap.mask.tolist() == [1.0] * 4 + [0.0] * 10
     assert snap.n_cavs == 4
-    lean = build_state(world, CFG, "agent_centric",
-                       with_features=False, with_adjacency=False)
+    lean = build_state(world, CFG, "agent_centric", feature_rows=0, with_adjacency=False)
     assert lean.features is None and lean.adjacency is None
+    cavs_only = build_state(world, CFG, "agent_centric", feature_rows=4)
+    assert cavs_only.features.tobytes() == snap.features[:4].tobytes()
     scene = build_state(world, CFG, "scene_centric")
     assert scene.sr.shape == (1, 603) and scene.sr.dtype == np.float32
     assert grid_rows(stack_states([scene])).shape == (4, 603)
@@ -390,6 +397,6 @@ def test_rollout_invariants():
         for veh in world.vehicles:
             if not veh.active:
                 assert np.count_nonzero(feats[veh.id]) == 0
-        for row, vid in enumerate(snap.cav_ids):
+        for row in range(snap.n_cavs):
             if not snap.alive[row]:
                 assert np.count_nonzero(snap.sr[row]) == 0

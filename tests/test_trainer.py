@@ -112,10 +112,10 @@ def fake_batch(rewards, done, at_s, at_next):
     """Only what td_targets reads besides the network's output."""
     at_s = np.array(at_s)
     return Batch(
-        s=StateBatch(sr=None, cav_ids=None, alive=at_s),
+        s=StateBatch(sr=None, alive=at_s),
         actions=np.zeros(at_s.shape, dtype=np.int64),
         reward=np.array(rewards, dtype=float),
-        s_next=StateBatch(sr=None, cav_ids=None, alive=np.array(at_next)),
+        s_next=StateBatch(sr=None, alive=np.array(at_next)),
         done=np.array(done),
     )
 
@@ -598,16 +598,16 @@ def test_replay_rings_take_the_layout_of_the_observed_state(variant):
     """After one episode the rings hold one array per field the network
     observes, at its narrowest exact width: float32 features as observed
     (madqn's m CAV rows, the others' n vehicle rows), bools packed eight to
-    a byte, CAV ids and actions as uint8, and the grid as K = rows x
-    vehicles uint16 cell indices and float32 values; every state ring has
-    capacity + 1 slots: s and s_next share them."""
+    a byte, actions as uint8, and the grid as K = rows x vehicles uint16
+    cell indices and float32 values; every state ring has capacity + 1
+    slots: s and s_next share them."""
     cfg = small_experiment(model_variant=variant)    # 2 CAVs, 5 vehicles
     trainer = Trainer(cfg, seed=2)
     trainer.run_episode()
     slots = cfg.training.buffer_capacity + 1
     f = feature_width(cfg.scenario)
     k = 2 * 5       # agent-centric: a grid row per CAV, a cell per vehicle and row
-    want = {"cav_ids": ((slots, 2), np.uint8), "alive": ((slots, 1), np.uint8),
+    want = {"alive": ((slots, 1), np.uint8),
             "sr_cells": ((slots, k), np.uint16), "sr_values": ((slots, k), np.float32)}
     want |= {"gitsr": {"features": ((slots, 5, f), np.float32), "adjacency": ((slots, 4), np.uint8)},
              "madqn": {"features": ((slots, 2, f), np.float32)},
