@@ -15,7 +15,6 @@ it in two checkouts and diffing the outputs compares their code:
 It then also defaults BLAS to one thread (before numpy loads), since a
 product may round differently under another thread count.
 """
-import argparse
 import contextlib
 import csv
 import hashlib
@@ -89,18 +88,12 @@ def cell_digest(variant: str, representation: str, workdir: Path) -> str:
     return digest.hexdigest()
 
 
-def main(argv=None) -> int:
-    cells = [f"{v}/{r}" for v in MODEL_VARIANTS for r in REPRESENTATIONS]
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--cells", nargs="+", choices=cells, default=cells,
-                        help="variant/representation cells to digest (default: all six)")
-    parser.add_argument("--keep", help="write the runs here instead of a temporary directory")
-    args = parser.parse_args(argv)
-    with contextlib.ExitStack() as stack:
-        workdir = Path(args.keep or stack.enter_context(tempfile.TemporaryDirectory()))
-        for cell in args.cells:
-            print(cell, cell_digest(*cell.split("/"), workdir), flush=True)
+def main() -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        for variant in MODEL_VARIANTS:
+            for representation in REPRESENTATIONS:
+                digest = cell_digest(variant, representation, Path(workdir))
+                print(f"{variant}/{representation}", digest, flush=True)
     return 0
 
 

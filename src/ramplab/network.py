@@ -328,8 +328,9 @@ class QNetwork:
     # Whether forward_batch reads the adjacency.
     reads_adjacency = False
 
-    def feature_rows(self, world: WorldState) -> int:
-        """How many leading vehicles' node feature rows forward_batch reads."""
+    def feature_rows(self, scenario: ScenarioConfig) -> int | None:
+        """How many leading vehicles' node feature rows forward_batch reads
+        (None: every vehicle's)."""
         return 0
 
     def forward_batch(self, states: StateBatch,
@@ -342,7 +343,7 @@ class QNetwork:
         """Snapshot of ``world`` in this network's representation, with only
         the feature rows and optional fields its forward reads built."""
         return build_state(world, scenario, self.representation,
-                           feature_rows=self.feature_rows(world),
+                           feature_rows=self.feature_rows(scenario),
                            with_adjacency=self.reads_adjacency)
 
     def forward(self, snap: StateSnapshot) -> Tensor:
@@ -406,8 +407,8 @@ class GitsrNetwork(QNetwork):
 
     reads_adjacency = True
 
-    def feature_rows(self, world: WorldState) -> int:
-        return len(world.vehicles)
+    def feature_rows(self, scenario: ScenarioConfig) -> int | None:
+        return None
 
     def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
         dtype = self.store.dtype
@@ -441,9 +442,9 @@ class BaselineNetwork(QNetwork):
     def param_shapes(cls, net_cfg, input_width, feat_width):
         return qhead_shapes(net_cfg, feat_width + input_width)
 
-    def feature_rows(self, world: WorldState) -> int:
+    def feature_rows(self, scenario: ScenarioConfig) -> int | None:
         """The CAVs' own rows, (m, f): no other row is read."""
-        return len(world.cav_ids())
+        return scenario.n_cav
 
     def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
         """Raises ``ValueError`` unless ``features`` holds m rows a scene,

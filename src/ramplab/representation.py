@@ -114,7 +114,7 @@ def build_feature_matrix(world: WorldState, config: ScenarioConfig,
     ahead and followers strictly behind, so neither the vehicle itself nor
     one at the same x counts.
     """
-    vehicles = world.vehicles if n_rows is None else world.vehicles[:n_rows]
+    vehicles = world.vehicles[:n_rows]
     out = np.zeros((len(vehicles), feature_width(config)))
     lanes = [[veh.x for veh in lane] for lane in lane_index(world, config.n_lanes)]
     for veh in vehicles:
