@@ -147,13 +147,16 @@ def relu(a: Tensor) -> Tensor:
     return _node(y, "relu", (a,), vjp)
 
 
-def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5   # added to each row's variance
+
+
+def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row standardisation followed by an affine map with (1, k) params."""
     # sum / k is what ndarray.mean computes, without its Python wrappers
     k = a.data.shape[1]
     mu = np.add.reduce(a.data, axis=1, keepdims=True) / k
     centred = a.data - mu
-    std = np.sqrt(np.add.reduce(centred * centred, axis=1, keepdims=True) / k + eps)
+    std = np.sqrt(np.add.reduce(centred * centred, axis=1, keepdims=True) / k + LAYER_NORM_EPS)
     y = centred / std
 
     def vjp(g):

@@ -80,9 +80,10 @@ class ParamStore:
         self.params: dict[str, Tensor] = {}
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
+        """A parameter holding a writable copy of ``array``, never a view."""
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
-        tensor = Tensor(np.ascontiguousarray(array, dtype=self.dtype), requires_grad=True)
+        tensor = Tensor(np.array(array, dtype=self.dtype, order="C"), requires_grad=True)
         self.params[name] = tensor
         return tensor
 
@@ -98,22 +99,6 @@ class ParamStore:
             raise ValueError("parameter stores do not describe the same network")
         for name, tensor in self.params.items():
             tensor.data[...] = other.params[name].data
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = sorted(self.params.keys() - arrays.keys())
-        extra = sorted(arrays.keys() - self.params.keys())
-        if missing or extra:
-            raise CheckpointError(f"parameter name mismatch: missing {missing}, extra {extra}")
-        for name, tensor in self.params.items():
-            arr = arrays[name]
-            if tuple(arr.shape) != tensor.data.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {name!r}: checkpoint {tuple(arr.shape)}, "
-                    f"network {tensor.data.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"non-finite values in parameter {name!r}")
-            tensor.data[...] = arr.astype(self.dtype)
 
     def check_finite_grads(self) -> None:
         for name, tensor in self.params.items():
@@ -283,7 +268,11 @@ def flat_rows(stacked: np.ndarray, dtype) -> Tensor:
 
 
 class QNetwork:
-    """Common machinery: parameter store, stacking, checkpoint metadata."""
+    """Common machinery: parameter store, stacking, checkpoint metadata.
+
+    A network is built from ``arrays``, one array per parameter by name,
+    copied into its store in ``param_shapes`` order; ``ValueError`` names
+    the first parameter whose name or shape does not fit the architecture."""
 
     variant = "base"
 
@@ -293,7 +282,7 @@ class QNetwork:
         representation: str,
         input_width: int,
         feat_width: int,
-        seed: int,
+        arrays: dict[str, np.ndarray],
         dtype=np.float32,
     ):
         net_cfg.validate()
@@ -301,11 +290,16 @@ class QNetwork:
         self.representation = representation
         self.input_width = input_width
         self.feat_width = feat_width
-        self.seed = seed
+        wanted = dict(self.param_shapes(net_cfg, input_width, feat_width))
+        given = {name: np.shape(array) for name, array in arrays.items()}
+        if given != wanted:
+            name = next(n for n in [*wanted, *sorted(given.keys() - wanted.keys())]
+                        if given.get(n) != wanted.get(n))
+            raise ValueError(f"{name!r} is {given.get(name)} given, "
+                             f"{wanted.get(name)} by the architecture")
         self.store = ParamStore(dtype)
-        rng = np.random.default_rng(seed)
-        for name, shape in self.param_shapes(net_cfg, input_width, feat_width):
-            self.store.add(name, _initial(rng, name, shape))
+        for name in wanted:
+            self.store.add(name, arrays[name])
         params = self.store.params
         self.q_w1, self.q_b1, self.q_w2, self.q_b2 = (
             params[name] for name in ("qhead.w1", "qhead.b1", "qhead.w2", "qhead.b2"))
@@ -387,12 +381,8 @@ class QNetwork:
         }
 
     def clone(self) -> "QNetwork":
-        twin = type(self)(
-            self.net_cfg, self.representation, self.input_width, self.feat_width,
-            self.seed, self.store.dtype,
-        )
-        twin.store.copy_from(self.store)
-        return twin
+        return type(self)(self.net_cfg, self.representation, self.input_width, self.feat_width,
+                          {name: t.data for name, t in self.store.items()}, self.store.dtype)
 
 
 class GitsrNetwork(QNetwork):
@@ -466,19 +456,18 @@ _VARIANTS = {
 
 
 def build_network(cfg: ExperimentConfig, seed: int, dtype=np.float32) -> QNetwork:
-    """Instantiate the configured variant, sized for the configured scenario."""
+    """Instantiate the configured variant, sized for the configured scenario,
+    with weights drawn from ``seed`` in ``param_shapes`` order."""
     try:
         cls = _VARIANTS[cfg.model_variant]
     except KeyError:
         raise ValueError(f"unknown model variant {cfg.model_variant!r}") from None
-    return cls(
-        cfg.network,
-        cfg.representation,
-        grid_width(cfg.scenario, cfg.representation),
-        feature_width(cfg.scenario),
-        seed,
-        dtype,
-    )
+    cfg.network.validate()
+    widths = grid_width(cfg.scenario, cfg.representation), feature_width(cfg.scenario)
+    rng = np.random.default_rng(seed)
+    arrays = {name: _initial(rng, name, shape)
+              for name, shape in cls.param_shapes(cfg.network, *widths)}
+    return cls(cfg.network, cfg.representation, *widths, arrays, dtype)
 
 
 # -- checkpoints ---------------------------------------------------------
@@ -518,6 +507,8 @@ def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
             directory.rename(retired)
         staging.rename(directory)
     except BaseException:
+        if retired.exists() and not directory.exists():
+            retired.rename(directory)   # the final rename failed: restore the old checkpoint
         shutil.rmtree(staging, ignore_errors=True)
         raise
     shutil.rmtree(retired, ignore_errors=True)
@@ -553,27 +544,27 @@ def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]
 
 
 def network_from_checkpoint(directory: str | Path) -> QNetwork:
-    """Rebuild the saved architecture in float32 and restore its parameters.
-    The metadata must describe the stored parameters' names and shapes
-    before anything is built from it."""
+    """Rebuild the saved architecture in float32 from its stored parameters,
+    which must fit the metadata's names and shapes and be finite."""
     meta, arrays = load_checkpoint(directory)
     try:
         cls = _VARIANTS[meta["variant"]]
         net_cfg = NetworkConfig(**meta["network"])
-        net_cfg.validate()
         widths = meta["input_width"], meta["feature_width"]
+        if not all(type(size) is int for size in (*widths, *dataclasses.astuple(net_cfg))):
+            raise TypeError("widths and network sizes must be integers")
+        net_cfg.validate()
         if max(net_cfg.n_blocks, net_cfg.gcn_layers) > len(arrays):
             raise ValueError(f"{len(arrays)} parameters cannot hold {net_cfg.n_blocks} blocks "
                              f"and {net_cfg.gcn_layers} graph layers")
-        wanted = dict(cls.param_shapes(net_cfg, *widths))
-        stored = {name: arr.shape for name, arr in arrays.items()}
-        if wanted != stored:
-            name = next(n for n in sorted(wanted.keys() | stored.keys())
-                        if wanted.get(n) != stored.get(n))
-            raise CheckpointError(f"checkpoint metadata does not fit its parameters: {name!r} "
-                                  f"is {stored.get(name)} stored, {wanted.get(name)} by meta")
-        net = cls(net_cfg, meta["representation"], *widths, seed=0)
+        representation = meta["representation"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"unusable checkpoint metadata: {exc}") from exc
-    net.store.load_arrays(arrays)
+    try:
+        net = cls(net_cfg, representation, *widths, arrays)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint metadata does not fit its parameters: {exc}") from exc
+    for name, tensor in net.store.items():
+        if not np.isfinite(tensor.data).all():
+            raise CheckpointError(f"non-finite values in parameter {name!r}")
     return net

@@ -48,11 +48,11 @@ def epsilon(step_count: int, cfg: EpsilonConfig) -> float:
     return cfg.start + (cfg.end - cfg.start) * (step_count / cfg.decay_steps)
 
 
-def explore_draws(n_rows: int, eps: float, rng: np.random.Generator | None) -> np.ndarray:
+def explore_draws(n_rows: int, eps: float, rng: np.random.Generator) -> np.ndarray:
     """Each row's epsilon-greedy draw, row by row: ``rng.random()``, then,
     if it falls below ``eps``, a uniform random action.  Gives the action
-    drawn, or -1 where the row acts greedily; ``rng`` may be omitted when
-    ``eps`` is 0."""
+    drawn, or -1 where the row acts greedily; nothing is drawn when ``eps``
+    is 0."""
     out = np.full(n_rows, -1, dtype=np.int64)
     if eps > 0.0:
         for i in range(n_rows):
@@ -210,13 +210,13 @@ def rollout(
 class Trainer:
     """Owns one seed's training run end to end."""
 
-    def __init__(self, cfg: ExperimentConfig, seed: int, dtype=np.float32):
+    def __init__(self, cfg: ExperimentConfig, seed: int):
         cfg.validate()
         self.cfg = cfg
         self.seed = seed
         root = np.random.SeedSequence(seed)
         net_ss, explore_ss, env_ss, buffer_ss = root.spawn(4)
-        self.net = build_network(cfg, int(net_ss.generate_state(1)[0]), dtype)
+        self.net = build_network(cfg, int(net_ss.generate_state(1)[0]))
         self.target = self.net.clone()
         self.optimizer = Adam(self.net.store, cfg.training.lr)
         self.buffer = ReplayBuffer(cfg.training.buffer_capacity,

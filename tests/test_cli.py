@@ -304,6 +304,7 @@ MANIFEST_DAMAGE = {
     "integer dtype": lambda m: m.update(dtype="<i4"),
     "negative input width": lambda m: m["meta"].update(input_width=-5),
     "negative feature width": lambda m: m["meta"].update(feature_width=-3),
+    "width as a float": lambda m: m["meta"].update(input_width=float(m["meta"]["input_width"])),
 }
 
 

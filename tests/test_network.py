@@ -1,12 +1,16 @@
+import copy
 import dataclasses
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _helpers import random_rollout, scenario, small_experiment, tiny_network
+from ramplab import network as network_module
 from ramplab.autodiff import Tensor, backward, graph_nodes, mul, no_grad, sum_all
-from ramplab.config import MODEL_VARIANTS
+from ramplab.config import MODEL_VARIANTS, ExperimentConfig
 from ramplab.network import (
     CheckpointError,
     TrainingError,
@@ -20,6 +24,7 @@ from ramplab.network import (
     save_checkpoint,
     transformer_encode,
 )
+from ramplab.optim import Adam
 from ramplab.representation import StateBatch, build_state, grid_rows, stack_states
 from ramplab.simulation import ActionCommand, episode_done, reset, step
 
@@ -543,6 +548,60 @@ def test_network_seed_determinism():
                for (_, pa), (_, pc) in zip(a.store.items(), c.store.items()))
 
 
+# sha256 of the parameters' little-endian bytes, in store order, of the
+# default network at seed 0: pins the initial draw and its order
+INITIAL_WEIGHTS = [
+    ("gitsr", "agent_centric", np.float32,
+     "3ff1271345e7c6c8317e50f13bf3f29322414b548c1919c60748ad218d74f1f8"),
+    ("gitsr", "scene_centric", np.float32,
+     "a53b4fdc8ea69b45d2b9c13d2c303411b573e7f597f5d1e063594a4249c28fd0"),
+    ("madqn_transformer", "agent_centric", np.float32,
+     "296aeb16d2747820f2e32c762f7ab839bc1eb27a56a2f052a762980506fd77c6"),
+    ("madqn_transformer", "scene_centric", np.float32,
+     "781485afdb8f56c9d34b519ac8ce9e886b5fe58409edc750f9cd9ae30c301854"),
+    ("madqn", "agent_centric", np.float32,
+     "667cb888c6769349360eb028a101b934509bd21a69392364ed3b8049fb9122d2"),
+    ("madqn", "scene_centric", np.float32,
+     "6248c92194d4daa6245f651f62ebf2d529f697a3480bcd09ae7241288fee6dcd"),
+    ("gitsr", "agent_centric", np.float64,
+     "8dbb1290dfcc7ef739f2c58bd6d9bf81419b9f695c00228fee3ee57a8a9c793f"),
+]
+
+
+@pytest.mark.parametrize("variant, representation, dtype, digest", INITIAL_WEIGHTS)
+def test_initial_weights_are_pinned(variant, representation, dtype, digest):
+    net = build_network(ExperimentConfig(model_variant=variant, representation=representation),
+                        seed=0, dtype=dtype)
+    raw = b"".join(p.data.astype(f"<f{p.data.itemsize}").tobytes() for _, p in net.store.items())
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("source", ["clone", "checkpoint"])
+def test_copies_draw_nothing_and_own_their_parameters(source, tmp_path, monkeypatch):
+    """A clone or a loaded network holds its source's weights, drawn by no
+    one, in writable arrays of its own (never views of the read-only blob):
+    a step on it moves no byte of the source network or the checkpoint."""
+    net = build_network(small_experiment(model_variant="gitsr"), seed=8)
+    before = {name: p.data.copy() for name, p in net.store.items()}
+    save_checkpoint(tmp_path, net)
+
+    def no_draw(*args):
+        raise AssertionError("an initial weight was drawn")
+
+    monkeypatch.setattr(network_module, "_initial", no_draw)
+    twin = net.clone() if source == "clone" else network_from_checkpoint(tmp_path)
+    for name, p in twin.store.items():
+        assert p.data.tobytes() == before[name].tobytes()
+        assert p.data.flags.writeable
+        p.grad = np.ones_like(p.data)
+    Adam(twin.store, 1e-3).step()
+    _, stored = load_checkpoint(tmp_path)
+    for name, p in twin.store.items():
+        assert not np.array_equal(p.data, before[name])
+        assert net.store.params[name].data.tobytes() == before[name].tobytes()
+        assert stored[name].tobytes() == before[name].tobytes()
+
+
 def test_clone_copies_parameters():
     cfg = small_experiment(model_variant="gitsr")
     net = build_network(cfg, seed=4)
@@ -612,34 +671,53 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
             raise OSError("disk full")
         return write_text(path, *args, **kwargs)
 
+    rename = Path.rename
+
+    def failing_final_rename(path, target):
+        if Path(target) == ckpt and not path.name.endswith(".old"):
+            raise OSError("rename failed")
+        return rename(path, target)
+
     with monkeypatch.context() as patched:
         patched.setattr(Path, "write_text", failing_manifest)
         with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, new)
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "rename", failing_final_rename)
+        with pytest.raises(OSError, match="rename failed"):
             save_checkpoint(ckpt, new)
     new.store.params["qhead.b2"].data[0, 0] = np.inf
     with pytest.raises(CheckpointError):
         save_checkpoint(ckpt, new)
 
-    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]   # no staging left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]   # no staging or .old left behind
     _, arrays = load_checkpoint(ckpt)
     for name, p in old.store.items():
         assert arrays[name].tobytes() == p.data.astype("<f4").tobytes()
 
 
 def test_checkpoint_rejects_mismatched_architecture(tmp_path):
-    cfg = small_experiment(model_variant="gitsr")
-    save_checkpoint(tmp_path, build_network(cfg, seed=7))
-    _, arrays = load_checkpoint(tmp_path)
-    other = build_network(small_experiment(model_variant="madqn"), seed=7)
-    with pytest.raises(CheckpointError):
-        other.store.load_arrays(arrays)
-    wider = build_network(
-        cfg, seed=7, dtype=np.float32
-    )
-    bad = dict(arrays)
-    bad["qhead.w2"] = bad["qhead.w2"][:, :5]
-    with pytest.raises(CheckpointError):
-        wider.store.load_arrays(bad)
+    save_checkpoint(tmp_path, build_network(small_experiment(model_variant="gitsr"), seed=7))
+    path = tmp_path / "manifest.json"
+    pristine = json.loads(path.read_text())
+
+    def madqn_meta(manifest):
+        manifest["meta"]["variant"] = "madqn"
+
+    def narrower_qhead(manifest):
+        next(e for e in manifest["params"] if e["name"] == "qhead.w2")["shape"][1] = 5
+
+    def extra_parameter(manifest):
+        manifest["params"].append({"name": "extra.w", "shape": [1, 1], "offset": 0})
+
+    for damage, culprit in [(madqn_meta, "qhead.w1"), (narrower_qhead, "qhead.w2"),
+                            (extra_parameter, "extra.w")]:
+        manifest = copy.deepcopy(pristine)
+        damage(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError,
+                           match=f"does not fit its parameters: '{culprit}'"):
+            network_from_checkpoint(tmp_path)
 
 
 def test_checkpoint_missing_file_raises(tmp_path):

@@ -63,14 +63,17 @@ def test_epsilon_never_increases(a, b):
 def test_select_actions_greedy_and_tie_break():
     q = np.array([[0.0, 5.0, 5.0, 0, 0, 0, 0, 0, 0],
                   [9.0, 0.0, 0, 0, 0, 0, 0, 0, 0]])
-    picked = select_actions(q, explore_draws(len(q), 0.0, None))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    picked = select_actions(q, explore_draws(len(q), 0.0, rng))
     np.testing.assert_array_equal(picked, [1, 0])
+    assert rng.bit_generator.state == state   # greedy rows draw nothing
 
 
 def test_select_actions_rejects_non_finite():
     q = np.full((1, 9), np.nan)
     with pytest.raises(TrainingError):
-        select_actions(q, explore_draws(len(q), 0.0, None))
+        select_actions(q, explore_draws(len(q), 0.0, np.random.default_rng(0)))
 
 
 def test_select_actions_full_exploration_is_uniform():
