@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over 2-D numpy arrays.
 
 Every operation builds a node holding its inputs and a vector-Jacobian
-closure; :func:`backward` walks the graph once in reverse topological order
-and accumulates gradients into ``.grad`` slots.  Only what the encoders,
-the Q head and the TD loss (:func:`squared_error_at`) need is implemented,
-and every tensor stays dense 2-D, which keeps each rule a few lines of
-numpy.  A batch of B scenes is B equal row blocks stacked scene-major;
+closure; :func:`backward` walks the graph once in reverse topological order,
+consuming it, and accumulates gradients into ``.grad`` slots.  Only what
+the encoders, the Q head and the TD loss (:func:`squared_error_at`) need is
+implemented, and every tensor stays dense 2-D, which keeps each rule a few
+lines of numpy.  A batch of B scenes is B equal row blocks stacked scene-major;
 :func:`scene_attention` and :func:`scene_matmul` view those blocks as a
 leading batch axis internally, so scenes never mix;
 :func:`scene_matmul`'s mixer may return fewer rows per scene than it reads,
@@ -310,36 +310,45 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires-grad leaf.
 
     ``loss`` must be a single-element tensor.  Gradients add onto whatever is
-    already in ``.grad``; clear parameter grads between steps.
+    already in ``.grad``; clear parameter grads between steps.  The graph is
+    consumed: each interior node drops its VJP and parents once its VJP has
+    run, and a second pass through it raises ``ValueError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad (built under no_grad?)")
     order = graph_nodes(loss)
+    if any(n._vjp is None and n.requires_grad and n.op != "leaf" for n in order):
+        raise ValueError("graph already consumed by an earlier backward")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     # Arrays one VJP handed to two parents, such as add's (g, g), kept alive
     # so that their ids stay theirs.  A leaf keeps the array it is given
     # unless that is one of these or a view of one (concat's split): the
     # clip scales leaf gradients in place.
     shared: dict[int, np.ndarray] = {}
-    for node in reversed(order):
+    # A walked node leaves the list and drops its closure and parents, so
+    # its saved arrays die as soon as no pending node needs them.
+    while order:
+        node = order.pop()
+        vjp, parents = node._vjp, node._parents
+        node._vjp, node._parents = None, ()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is None:
+        if vjp is None:
             if node.grad is not None:
                 node.grad = node.grad + g
             else:
                 node.grad = g.copy() if id(g) in shared or id(g.base) in shared else g
             continue
-        pgs = node._vjp(g)
+        pgs = vjp(g)
         for i, pg in enumerate(pgs):
-            if pg is None or not node._parents[i].requires_grad:
+            if pg is None or not parents[i].requires_grad:
                 continue
             if any(pg is other for other in pgs[i + 1:]):
                 shared[id(pg)] = pg
-            key = id(node._parents[i])
+            key = id(parents[i])
             if key in grads:
                 grads[key] = grads[key] + pg
             else:

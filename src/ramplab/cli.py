@@ -83,6 +83,10 @@ def _check_net_matches(net: QNetwork, cfg: ExperimentConfig) -> None:
         problems.append(f"grid width {net.input_width} vs config {expected_width}")
     if net.feat_width != feature_width(cfg.scenario):
         problems.append(f"feature width {net.feat_width} vs config {feature_width(cfg.scenario)}")
+    for field in dataclasses.fields(cfg.network):
+        saved, wanted = getattr(net.net_cfg, field.name), getattr(cfg.network, field.name)
+        if saved != wanted:
+            problems.append(f"network.{field.name} {saved} vs config {wanted}")
     if problems:
         raise CheckpointError("checkpoint does not fit config: " + "; ".join(problems))
 

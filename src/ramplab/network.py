@@ -465,7 +465,8 @@ def build_network(cfg: ExperimentConfig, seed: int, dtype=np.float32) -> QNetwor
     cfg.network.validate()
     widths = grid_width(cfg.scenario, cfg.representation), feature_width(cfg.scenario)
     rng = np.random.default_rng(seed)
-    arrays = {name: _initial(rng, name, shape)
+    # each draw is cast as it is made, so no float64 copy of the network lives
+    arrays = {name: _initial(rng, name, shape).astype(dtype)
               for name, shape in cls.param_shapes(cfg.network, *widths)}
     return cls(cfg.network, cfg.representation, *widths, arrays, dtype)
 

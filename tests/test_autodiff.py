@@ -364,6 +364,18 @@ def test_grad_accumulates_across_backward_calls():
     np.testing.assert_allclose(x.grad, np.full((2, 2), 2.0))
 
 
+def test_a_consumed_graph_refuses_a_second_pass():
+    x = leaf((2, 2))
+    h = ad.relu(x)
+    ad.backward(ad.sum_all(h))
+    first = x.grad.copy()
+    # h is no leaf: a pass through it must not give it a .grad or reach x
+    with pytest.raises(ValueError, match="consumed"):
+        ad.backward(ad.sum_all(h))
+    assert h.grad is None
+    np.testing.assert_array_equal(x.grad, first)
+
+
 def test_no_grad_suppresses_taping_but_not_leaf_flags():
     x = leaf((2, 2))
     with ad.no_grad():

@@ -257,6 +257,19 @@ def test_evaluate_checkpoint_config_mismatch(trained_run, tmp_path, capsys):
     assert not (tmp_path / "eval.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+def test_checkpoint_network_size_mismatch_exits_2(trained_run, tmp_path, capsys, command):
+    # 4 heads of width 2 have the 2-head checkpoint's parameter shapes, so
+    # only the sizes themselves tell the two networks apart
+    cfg = small_experiment(network=dataclasses.replace(tiny_network(), n_heads=4, d_head=2))
+    config = write_config(tmp_path / "config.json", cfg)
+    err = exits_2_with_one_line_error(command, {"config": config}, trained_run["checkpoint"],
+                                      tmp_path, capsys)
+    assert "does not fit" in err
+    assert "network.n_heads 2 vs config 4" in err and "network.d_head 4 vs config 2" in err
+    assert "d_model" not in err
+
+
 def test_evaluate_missing_checkpoint(trained_run, tmp_path, capsys):
     code = main(["evaluate", "--config", trained_run["config"],
                  "--checkpoint", str(tmp_path / "void"),

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import hashlib
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,15 @@ import pytest
 
 from _helpers import random_rollout, scenario, small_experiment, tiny_network
 from ramplab import network as network_module
-from ramplab.autodiff import Tensor, backward, graph_nodes, mul, no_grad, sum_all
+from ramplab.autodiff import (
+    Tensor,
+    backward,
+    graph_nodes,
+    mul,
+    no_grad,
+    squared_error_at,
+    sum_all,
+)
 from ramplab.config import MODEL_VARIANTS, ExperimentConfig
 from ramplab.network import (
     CheckpointError,
@@ -265,6 +275,30 @@ def test_gitsr_tape_size_does_not_grow_with_batch():
     snaps = [make_snap(net, s, cfg.scenario) for s in range(8)]
     sizes = [len(graph_nodes(net.forward_batch(stack_states(snaps[:b])))) for b in (1, 8)]
     assert sizes[0] == sizes[1]
+
+
+def test_backward_frees_the_learner_graph_and_refuses_a_second_pass():
+    """The default gitsr learner graph: once backward returns, every
+    interior activation is freed, though the caller still holds q and the
+    loss, and a second pass raises without touching a gradient."""
+    cfg = ExperimentConfig()
+    net = build_network(cfg, seed=0)
+    states = stack_states([make_snap(net, s, cfg.scenario) for s in range(32)])
+    q = net.forward_batch(states, active_only=True)
+    rng = np.random.default_rng(0)
+    loss = squared_error_at(q, rng.integers(0, 9, len(q.data)), rng.normal(size=len(q.data)))
+    nodes = graph_nodes(loss)
+    interior = [weakref.ref(n.data) for n in nodes
+                if n.op != "leaf" and n is not q and n is not loss]
+    assert len(interior) > 20
+    del nodes
+    backward(loss)
+    assert sum(ref() is not None for ref in interior) == 0
+    grads = {name: (p.grad, p.grad.tobytes()) for name, p in net.store.items()}
+    with pytest.raises(ValueError, match="consumed"):
+        backward(loss)
+    for name, p in net.store.items():
+        assert p.grad is grads[name][0] and p.grad.tobytes() == grads[name][1]
 
 
 def test_baseline_rows_are_independent():
@@ -574,6 +608,21 @@ def test_initial_weights_are_pinned(variant, representation, dtype, digest):
                         seed=0, dtype=dtype)
     raw = b"".join(p.data.astype(f"<f{p.data.itemsize}").tobytes() for _, p in net.store.items())
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_build_holds_no_float64_copy_of_the_network():
+    # each weight is cast as it is drawn: the peak is the drawn float32
+    # arrays plus the store's copies, not a float64 network besides.  The
+    # first build in a process also imports modules lazily, so trace a second.
+    cfg = ExperimentConfig()
+    build_network(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        net = build_network(cfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sum(p.data.nbytes for _, p in net.store.items())
 
 
 @pytest.mark.parametrize("source", ["clone", "checkpoint"])
