@@ -24,14 +24,16 @@ readout is the first m rows of each scene.  Each variant names the snapshot
 fields its forward reads, the node feature rows included (``madqn`` reads
 its CAVs' rows only), and :meth:`QNetwork.observe` builds only those.
 
-Parameters live in a :class:`ParamStore`; checkpoints are a JSON manifest
-plus a little-endian float32 blob and round-trip bit-exactly.
+Parameters are views of one flat buffer in a :class:`ParamStore`;
+checkpoints are a JSON manifest plus that buffer as a little-endian float32
+blob, and round-trip bit-exactly.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import os
 import shutil
 import uuid
 from dataclasses import dataclass
@@ -72,20 +74,35 @@ class CheckpointError(RuntimeError):
     """Checkpoint missing, malformed, or incompatible with the architecture."""
 
 
-class ParamStore:
-    """Named learnable tensors, each with a gradient slot."""
-
-    def __init__(self, dtype=np.float32):
-        self.dtype = np.dtype(dtype)
-        self.params: dict[str, Tensor] = {}
-
-    def add(self, name: str, array: np.ndarray) -> Tensor:
-        """A parameter holding a writable copy of ``array``, never a view."""
-        if name in self.params:
+def param_views(shapes: list[tuple[str, tuple]], buffer: np.ndarray) -> dict[str, np.ndarray]:
+    """The flat ``buffer`` as one view per named shape, back to back in
+    ``shapes`` order (the checkpoint blob's layout); ``ValueError`` unless it
+    is exactly as long as the shapes together, or on a repeated name."""
+    sizes = [math.prod(shape) for _, shape in shapes]
+    if buffer.shape != (sum(sizes),):
+        raise ValueError(f"the parameters take a flat buffer of {sum(sizes)} values, "
+                         f"not one of shape {buffer.shape}")
+    views, start = {}, 0
+    for (name, shape), size in zip(shapes, sizes):
+        if name in views:
             raise ValueError(f"duplicate parameter {name!r}")
-        tensor = Tensor(np.array(array, dtype=self.dtype, order="C"), requires_grad=True)
-        self.params[name] = tensor
-        return tensor
+        views[name] = buffer[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+class ParamStore:
+    """Named learnable tensors, each with a gradient slot, whose values are
+    views of one flat buffer (see ``param_views``): the network is copied,
+    checked, saved and loaded whole."""
+
+    def __init__(self, shapes: list[tuple[str, tuple]], buffer: np.ndarray):
+        self.shapes = list(shapes)
+        self.buffer = buffer
+        self.dtype = buffer.dtype
+        self.params: dict[str, Tensor] = {
+            name: Tensor(view, requires_grad=True)
+            for name, view in param_views(self.shapes, buffer).items()}
 
     def items(self):
         return self.params.items()
@@ -95,10 +112,18 @@ class ParamStore:
             tensor.grad = None
 
     def copy_from(self, other: "ParamStore") -> None:
-        if self.params.keys() != other.params.keys():
+        if self.shapes != other.shapes:
             raise ValueError("parameter stores do not describe the same network")
-        for name, tensor in self.params.items():
-            tensor.data[...] = other.params[name].data
+        self.buffer[...] = other.buffer
+
+    def non_finite(self) -> str | None:
+        """The first parameter holding a NaN or an infinity, or None; the
+        parameters are searched only when the buffer holds one."""
+        # min and max propagate NaN, so both are finite exactly when every
+        # value is, and neither makes an array the size of the buffer
+        if math.isfinite(self.buffer.min()) and math.isfinite(self.buffer.max()):
+            return None
+        return next(name for name, t in self.params.items() if not np.isfinite(t.data).all())
 
     def check_finite_grads(self) -> None:
         for name, tensor in self.params.items():
@@ -270,9 +295,8 @@ def flat_rows(stacked: np.ndarray, dtype) -> Tensor:
 class QNetwork:
     """Common machinery: parameter store, stacking, checkpoint metadata.
 
-    A network is built from ``arrays``, one array per parameter by name,
-    copied into its store in ``param_shapes`` order; ``ValueError`` names
-    the first parameter whose name or shape does not fit the architecture."""
+    A network keeps the flat ``buffer`` it is given as its parameters, laid
+    out in ``param_shapes`` order (see ``param_views``)."""
 
     variant = "base"
 
@@ -282,24 +306,14 @@ class QNetwork:
         representation: str,
         input_width: int,
         feat_width: int,
-        arrays: dict[str, np.ndarray],
-        dtype=np.float32,
+        buffer: np.ndarray,
     ):
         net_cfg.validate()
         self.net_cfg = net_cfg
         self.representation = representation
         self.input_width = input_width
         self.feat_width = feat_width
-        wanted = dict(self.param_shapes(net_cfg, input_width, feat_width))
-        given = {name: np.shape(array) for name, array in arrays.items()}
-        if given != wanted:
-            name = next(n for n in [*wanted, *sorted(given.keys() - wanted.keys())]
-                        if given.get(n) != wanted.get(n))
-            raise ValueError(f"{name!r} is {given.get(name)} given, "
-                             f"{wanted.get(name)} by the architecture")
-        self.store = ParamStore(dtype)
-        for name in wanted:
-            self.store.add(name, arrays[name])
+        self.store = ParamStore(self.param_shapes(net_cfg, input_width, feat_width), buffer)
         params = self.store.params
         self.q_w1, self.q_b1, self.q_w2, self.q_b2 = (
             params[name] for name in ("qhead.w1", "qhead.b1", "qhead.w2", "qhead.b2"))
@@ -382,7 +396,7 @@ class QNetwork:
 
     def clone(self) -> "QNetwork":
         return type(self)(self.net_cfg, self.representation, self.input_width, self.feat_width,
-                          {name: t.data for name, t in self.store.items()}, self.store.dtype)
+                          self.store.buffer.copy())
 
 
 class GitsrNetwork(QNetwork):
@@ -464,11 +478,13 @@ def build_network(cfg: ExperimentConfig, seed: int, dtype=np.float32) -> QNetwor
         raise ValueError(f"unknown model variant {cfg.model_variant!r}") from None
     cfg.network.validate()
     widths = grid_width(cfg.scenario, cfg.representation), feature_width(cfg.scenario)
+    size = sum(math.prod(shape) for _, shape in cls.param_shapes(cfg.network, *widths))
+    net = cls(cfg.network, cfg.representation, *widths, np.empty(size, dtype))
     rng = np.random.default_rng(seed)
-    # each draw is cast as it is made, so no float64 copy of the network lives
-    arrays = {name: _initial(rng, name, shape).astype(dtype)
-              for name, shape in cls.param_shapes(cfg.network, *widths)}
-    return cls(cfg.network, cfg.representation, *widths, arrays, dtype)
+    # each draw is cast into its view as it is made: no copy of the network lives
+    for name, tensor in net.store.items():
+        tensor.data[...] = _initial(rng, name, tensor.data.shape)
+    return net
 
 
 # -- checkpoints ---------------------------------------------------------
@@ -478,30 +494,29 @@ BLOB_NAME = "params.bin"
 
 
 def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
-    """Write a manifest plus a little-endian float32 parameter blob.  Refuses
-    (``CheckpointError``, nothing written) a network with a non-finite value.
+    """Write a manifest plus the parameter buffer as one little-endian
+    float32 blob.  Refuses (``CheckpointError``, nothing written) a network
+    with a non-finite value.
 
     Both files are written into a sibling temporary directory that is then
     renamed into place, so a failed save leaves any previous checkpoint at
     ``directory`` whole."""
     directory = Path(directory)
-    entries = []
-    chunks = []
-    offset = 0
-    for name, tensor in net.store.items():
-        if not np.isfinite(tensor.data).all():
-            raise CheckpointError(f"refusing to save non-finite values in parameter {name!r}")
-        raw = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-        entries.append({"name": name, "shape": list(tensor.data.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
+    store = net.store
+    bad = store.non_finite()
+    if bad is not None:
+        raise CheckpointError(f"refusing to save non-finite values in parameter {bad!r}")
+    entries, offset = [], 0
+    for name, shape in store.shapes:
+        entries.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * math.prod(shape)
     manifest = {"format": 1, "dtype": "<f4", "meta": net.meta(), "params": entries}
     directory.parent.mkdir(parents=True, exist_ok=True)
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     retired = staging.with_name(staging.name + ".old")
     staging.mkdir()
     try:
-        (staging / BLOB_NAME).write_bytes(b"".join(chunks))
+        (staging / BLOB_NAME).write_bytes(store.buffer.astype("<f4", copy=False))
         (staging / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
         if directory.exists():
             # a rename cannot replace a non-empty directory: move the old one aside
@@ -515,7 +530,34 @@ def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
     shutil.rmtree(retired, ignore_errors=True)
 
 
+def _architecture(meta: dict, n_params: int) -> tuple[type[QNetwork], NetworkConfig, str,
+                                                      tuple[int, int]]:
+    """The variant, network sizes, representation and widths that checkpoint
+    metadata names, for a manifest of ``n_params`` parameters."""
+    try:
+        cls = _VARIANTS[meta["variant"]]
+        net_cfg = NetworkConfig(**meta["network"])
+        widths = meta["input_width"], meta["feature_width"]
+        if not all(type(size) is int for size in (*widths, *dataclasses.astuple(net_cfg))):
+            raise TypeError("widths and network sizes must be integers")
+        net_cfg.validate()
+        if max(net_cfg.n_blocks, net_cfg.gcn_layers) > n_params:
+            raise ValueError(f"{n_params} parameters cannot hold {net_cfg.n_blocks} blocks "
+                             f"and {net_cfg.gcn_layers} graph layers")
+        return cls, net_cfg, meta["representation"], widths
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"unusable checkpoint metadata: {exc}") from exc
+
+
 def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The metadata and parameters of the checkpoint at ``directory``: one
+    array per parameter in store order, each a view of one fresh flat array
+    (their ``base``) read from the blob in the manifest's dtype.
+
+    The manifest must list the parameters of the architecture its metadata
+    names, with their shapes, in store order and back to back from offset 0,
+    as ``save_checkpoint`` writes them, and the blob must hold them all; only
+    then is the array allocated.  Anything else is a ``CheckpointError``."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -524,48 +566,48 @@ def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]
         manifest = json.loads(manifest_path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint manifest: {exc}") from exc
-    blob = (directory / BLOB_NAME).read_bytes()
     try:
+        meta, entries = manifest["meta"], manifest["params"]
         dtype = np.dtype(manifest["dtype"])
         if dtype.kind != "f":
             raise TypeError(f"parameter dtype {dtype} is not floating point")
-        arrays = {}
-        for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
-            start = entry["offset"]
-            if type(start) is not int or start < 0:
-                raise TypeError(f"offset {start!r} is not a non-negative integer")
-            stop = start + int(np.prod(shape)) * dtype.itemsize
-            if stop > len(blob):
-                raise CheckpointError(f"checkpoint blob truncated at parameter {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(blob[start:stop], dtype=dtype).reshape(shape)
-        return manifest["meta"], arrays
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        cls, net_cfg, _, widths = _architecture(meta, len(entries))
+        wanted = cls.param_shapes(net_cfg, *widths)
+        given = {entry["name"]: tuple(entry["shape"]) for entry in entries}
+        stored = [(entry["name"], entry["offset"]) for entry in entries]
+        shapes = dict(wanted)
+        if given != shapes:
+            name = next(n for n in [*shapes, *sorted(given.keys() - shapes.keys())]
+                        if given.get(n) != shapes.get(n))
+            raise CheckpointError(f"checkpoint metadata does not fit its parameters: {name!r} is "
+                                  f"{given.get(name)} given, {shapes.get(name)} by the architecture")
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest: {type(exc).__name__}: {exc}") from exc
+    offset = 0
+    for (name, shape), (got, at) in zip(wanted, stored):
+        if got != name or type(at) is not int or at != offset:
+            raise CheckpointError(f"checkpoint parameters are not laid out in store order: {got!r} "
+                                  f"at byte {at!r}, where {name!r} belongs at byte {offset}")
+        offset += math.prod(shape) * dtype.itemsize
+    if len(stored) != len(wanted):
+        raise CheckpointError(f"checkpoint lists {len(stored)} parameters for {len(wanted)}")
+    with open(directory / BLOB_NAME, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < offset:
+            raise CheckpointError(f"checkpoint blob truncated: {size} bytes of {offset}")
+        buffer = np.empty(offset // dtype.itemsize, dtype)
+        fh.readinto(buffer)
+    return meta, param_views(wanted, buffer)
 
 
 def network_from_checkpoint(directory: str | Path) -> QNetwork:
-    """Rebuild the saved architecture in float32 from its stored parameters,
-    which must fit the metadata's names and shapes and be finite."""
+    """Rebuild the saved architecture in float32 around the array that
+    ``load_checkpoint`` reads, whose values must be finite."""
     meta, arrays = load_checkpoint(directory)
-    try:
-        cls = _VARIANTS[meta["variant"]]
-        net_cfg = NetworkConfig(**meta["network"])
-        widths = meta["input_width"], meta["feature_width"]
-        if not all(type(size) is int for size in (*widths, *dataclasses.astuple(net_cfg))):
-            raise TypeError("widths and network sizes must be integers")
-        net_cfg.validate()
-        if max(net_cfg.n_blocks, net_cfg.gcn_layers) > len(arrays):
-            raise ValueError(f"{len(arrays)} parameters cannot hold {net_cfg.n_blocks} blocks "
-                             f"and {net_cfg.gcn_layers} graph layers")
-        representation = meta["representation"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"unusable checkpoint metadata: {exc}") from exc
-    try:
-        net = cls(net_cfg, representation, *widths, arrays)
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint metadata does not fit its parameters: {exc}") from exc
-    for name, tensor in net.store.items():
-        if not np.isfinite(tensor.data).all():
-            raise CheckpointError(f"non-finite values in parameter {name!r}")
+    cls, net_cfg, representation, widths = _architecture(meta, len(arrays))
+    buffer = next(iter(arrays.values())).base.astype(np.float32, copy=False)
+    net = cls(net_cfg, representation, *widths, buffer)
+    bad = net.store.non_finite()
+    if bad is not None:
+        raise CheckpointError(f"non-finite values in parameter {bad!r}")
     return net

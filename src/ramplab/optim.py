@@ -2,18 +2,21 @@
 
 Both update in place: a step allocates no array the size of a parameter.
 ``Adam.m`` and ``Adam.v`` hold the moments pre-divided by (1 - beta1) and
-(1 - beta2); see :class:`Adam`."""
+(1 - beta2), as views of one buffer each; see :class:`Adam`."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from ramplab.network import ParamStore
+from ramplab.network import ParamStore, param_views
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# Adam sets its moment entries below the dtype's smallest normal to +0.0
+# every this many steps (see Adam.step).
+SUBNORMAL_FLUSH_EVERY = 100
 
 
 def clip_global_grad_norm(store: ParamStore, max_norm: float) -> float:
@@ -58,14 +61,26 @@ class Adam:
     work array, which backward makes its own, and the slots are cleared
     afterwards.  Parameters with no gradient are left untouched and their
     moments do not advance.
+
+    ``m`` and ``v`` are views of the flat ``m_buffer`` and ``v_buffer``, laid
+    out as the store's parameters.  Every ``SUBNORMAL_FLUSH_EVERY`` steps the
+    entries below the dtype's smallest normal number are set to +0.0.  Left
+    alone, a moment whose gradient stays zero decays into the subnormals and
+    sticks there (beta1 times k times the smallest subnormal rounds back to k
+    for k <= 4), and every operation on a subnormal is slow.  The flush moves
+    a step by less than lr * 1.2e-30 through M, since the denominator is at
+    least eps', and changes sqrt(V) by less than 1.1e-19, under half an ulp of
+    eps' >= 1e-8, so no parameter above about 2e-23 in magnitude moves.
     """
 
     def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self.m_buffer = np.zeros_like(store.buffer)
+        self.v_buffer = np.zeros_like(store.buffer)
+        self.m = param_views(store.shapes, self.m_buffer)
+        self.v = param_views(store.shapes, self.v_buffer)
 
     def step(self) -> None:
         self.t += 1
@@ -90,3 +105,7 @@ class Adam:
             g *= step_size
             tensor.data -= g
             tensor.grad = None
+        if self.t % SUBNORMAL_FLUSH_EVERY == 0:
+            tiny = np.finfo(self.m_buffer.dtype).tiny
+            for moment in (self.m_buffer, self.v_buffer):
+                moment[np.abs(moment) < tiny] = 0.0

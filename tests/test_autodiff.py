@@ -159,10 +159,10 @@ def test_scene_attention_key_mask_on_every_row_and_on_the_active_rows():
 def test_backward_hands_a_shared_gradient_to_each_leaf_as_its_own_copy():
     """add gives both parents one array; the clip scales leaf gradients in
     place, so each leaf, and a leaf reached twice, is scaled exactly once."""
-    store = ParamStore(np.float64)
-    w, a, b = (store.add(name, RNG.normal(size=(2, 3))) for name in "wab")
-    x, u = (store.add(name, RNG.normal(size=(2, 1))) for name in "xu")
-    y, z = (store.add(name, RNG.normal(size=(2, 2))) for name in "yz")
+    shapes = ([(name, (2, 3)) for name in "wab"] + [(name, (2, 1)) for name in "xu"]
+              + [(name, (2, 2)) for name in "yz"])
+    store = ParamStore(shapes, RNG.normal(size=30))
+    w, a, b, x, u, y, z = (store.params[name] for name in "wabxuyz")
     coef = RNG.normal(size=(2, 3))
     # both concats split the one array add gives them into column views
     split = ad.add(ad.concat_cols([x, y]), ad.concat_cols([u, z]))

@@ -329,6 +329,43 @@ def test_malformed_manifest_exits_2(trained_run, tmp_path, capsys, command, dama
     assert "checkpoint" in err
 
 
+def equal_neighbours(manifest):
+    """The first two consecutive entries of one shape."""
+    entries = manifest["params"]
+    return next((a, b) for a, b in zip(entries, entries[1:]) if a["shape"] == b["shape"])
+
+
+def swap_offsets(manifest):
+    a, b = equal_neighbours(manifest)
+    a["offset"], b["offset"] = b["offset"], a["offset"]
+
+
+def swap_entries(manifest):
+    a, b = equal_neighbours(manifest)
+    i = manifest["params"].index(a)
+    manifest["params"][i:i + 2] = [b, a]
+
+
+# Each leaves every entry inside the blob, so only the check that the
+# entries lie back to back in store order refuses them.
+LAYOUT_DAMAGE = {
+    "swapped offsets": swap_offsets,
+    "entries out of store order": swap_entries,
+    "overlapping entries":
+        lambda m: m["params"][3].update(offset=m["params"][2]["offset"]),
+    "gap before an entry":
+        lambda m: m["params"][3].update(offset=m["params"][3]["offset"] + 4),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+@pytest.mark.parametrize("damage", sorted(LAYOUT_DAMAGE))
+def test_non_canonical_layout_exits_2(trained_run, tmp_path, capsys, command, damage):
+    ckpt = damaged_checkpoint(trained_run, tmp_path, LAYOUT_DAMAGE[damage])
+    err = exits_2_with_one_line_error(command, trained_run, ckpt, tmp_path, capsys)
+    assert "not laid out in store order" in err
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_weight_exits_2(trained_run, tmp_path, capsys, bad):
     ckpt = damaged_checkpoint(trained_run, tmp_path)

@@ -610,19 +610,52 @@ def test_initial_weights_are_pinned(variant, representation, dtype, digest):
     assert hashlib.sha256(raw).hexdigest() == digest
 
 
-def test_build_holds_no_float64_copy_of_the_network():
-    # each weight is cast as it is drawn: the peak is the drawn float32
-    # arrays plus the store's copies, not a float64 network besides.  The
-    # first build in a process also imports modules lazily, so trace a second.
-    cfg = ExperimentConfig()
-    build_network(cfg, seed=0)
+@pytest.mark.parametrize("move, bound", [("build", 1.5), ("save", 0.5), ("load", 1.5)])
+def test_build_save_and_load_move_the_buffer_whole(move, bound, tmp_path):
+    """Traced peak of each move, in parameter bytes, for the default gitsr:
+    a build casts each float64 draw into the buffer (no copy of the network
+    and no float64 one), a save writes the buffer as it is, and a load reads
+    the blob into the array the network keeps.  The first call in a process
+    also imports modules lazily, so a second is traced."""
+    net = build_network(ExperimentConfig(), seed=0)
+    save_checkpoint(tmp_path / "ckpt", net)
+    run = {"build": lambda: build_network(ExperimentConfig(), seed=0),
+           "save": lambda: save_checkpoint(tmp_path / "ckpt", net),
+           "load": lambda: network_from_checkpoint(tmp_path / "ckpt")}[move]
+    run()
     tracemalloc.start()
     try:
-        net = build_network(cfg, seed=0)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * sum(p.data.nbytes for _, p in net.store.items())
+    assert peak < bound * net.store.buffer.nbytes
+
+
+def test_each_network_owns_one_buffer_that_its_parameters_view(tmp_path):
+    net = build_network(small_experiment(model_variant="gitsr"), seed=8)
+    save_checkpoint(tmp_path, net)
+    nets = [net, net.clone(), network_from_checkpoint(tmp_path)]
+    for owner in nets:
+        for name, p in owner.store.items():
+            assert [np.shares_memory(p.data, other.store.buffer) for other in nets] == \
+                [other is owner for other in nets], name
+
+
+def test_checkpoint_of_another_float_dtype_loads_as_float32(tmp_path):
+    """A float64 blob, with its offsets in float64 bytes, loads cast to float32."""
+    cfg = small_experiment(model_variant="gitsr")
+    net = build_network(cfg, seed=6)
+    save_checkpoint(tmp_path, net)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["dtype"] = "<f8"
+    for entry in manifest["params"]:
+        entry["offset"] *= 2
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "params.bin").write_bytes(net.store.buffer.astype("<f8").tobytes())
+    restored = network_from_checkpoint(tmp_path)
+    assert restored.store.dtype == np.float32
+    assert restored.store.buffer.tobytes() == net.store.buffer.tobytes()
 
 
 @pytest.mark.parametrize("source", ["clone", "checkpoint"])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -6,13 +7,22 @@ import pytest
 
 from ramplab.config import ExperimentConfig
 from ramplab.network import ParamStore, build_network
-from ramplab.optim import BETA1, BETA2, EPS, Adam, clip_global_grad_norm
+from ramplab.optim import (
+    BETA1,
+    BETA2,
+    EPS,
+    SUBNORMAL_FLUSH_EVERY,
+    Adam,
+    clip_global_grad_norm,
+)
 
 
-def store_with(**arrays):
-    store = ParamStore(dtype=np.float64)
+def store_with(dtype=np.float64, **arrays):
+    """A store of ``dtype`` holding ``arrays``, laid out in their order."""
+    shapes = [(name, np.shape(arr)) for name, arr in arrays.items()]
+    store = ParamStore(shapes, np.zeros(sum(np.size(arr) for arr in arrays.values()), dtype))
     for name, arr in arrays.items():
-        store.add(name, np.asarray(arr, dtype=float))
+        store.params[name].data[...] = arr
     return store
 
 
@@ -123,6 +133,37 @@ def test_matches_textbook_adam_over_300_steps():
     assert opt.t == 300
 
 
+def test_flush_zeroes_subnormal_moments_and_moves_no_parameter():
+    """One tiny gradient, then zeros: M decays by beta1 into the float32
+    subnormals and sticks there (beta1 k 2^-149 rounds back to k for k <= 4),
+    and V = g^2 starts there.  The flushes leave both exactly +0.0, and the
+    parameters stay bit-identical to an Adam without the flush, written out
+    here with the same float32 operations in the same order."""
+    lr, steps = 1e-3, 10 * SUBNORMAL_FLUSH_EVERY
+    init = np.array([[0.5, 1e-12, -3e-13]], dtype=np.float32)
+    grad = np.array([[1e-19, -4e-20, 2e-20]], dtype=np.float32)
+    store = store_with(np.float32, p=init)
+    opt = Adam(store, lr)
+    ref, m, v = init.copy(), np.zeros_like(init), np.zeros_like(init)
+    for t in range(1, steps + 1):
+        g = grad.copy() if t == 1 else np.zeros_like(grad)
+        store.params["p"].grad = g.copy()
+        opt.step()
+        root = math.sqrt((1.0 - BETA2) / (1.0 - BETA2 ** t))
+        m *= BETA1
+        m += g
+        v *= BETA2
+        v += g * g
+        ref -= m / (np.sqrt(v) + EPS / root) * (lr * (1.0 - BETA1) / ((1.0 - BETA1 ** t) * root))
+        assert store.params["p"].data.tobytes() == ref.tobytes(), t
+    tiny = np.finfo(np.float32).tiny
+    assert (m != 0).all() and (np.abs(m) < tiny).all()    # stuck without the flush
+    assert (v != 0).all() and (v < tiny).all()
+    assert (ref[0, 1:] != init[0, 1:]).all()               # the small entries did move
+    zeros = np.zeros_like(init).tobytes()
+    assert opt.m["p"].tobytes() == zeros and opt.v["p"].tobytes() == zeros
+
+
 def test_clip_scales_to_max_norm_and_reports_preclip():
     store = store_with(a=[[3.0]], b=[[4.0]])
     set_grads(store, a=[[3.0]], b=[[4.0]])
@@ -152,9 +193,7 @@ def test_clip_skips_missing_gradients():
 def test_clip_norm_of_huge_gradients_is_finite_and_exact():
     # squares of ~1e20 overflow float32, so the reduction must run in float64,
     # and the overflow must not surface as a warning
-    store = ParamStore(dtype=np.float32)
-    store.add("a", np.zeros((1, 2)))
-    store.add("b", np.zeros((1, 1)))
+    store = store_with(np.float32, a=np.zeros((1, 2)), b=np.zeros((1, 1)))
     store.params["a"].grad = np.array([[3e20, 0.0]], dtype=np.float32)
     store.params["b"].grad = np.array([[4e20]], dtype=np.float32)
     with warnings.catch_warnings():
@@ -167,9 +206,7 @@ def test_clip_norm_of_huge_gradients_is_finite_and_exact():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_clip_returns_non_finite_norm_and_leaves_gradients_unscaled(bad):
-    store = ParamStore(dtype=np.float32)
-    store.add("a", np.zeros((1, 2)))
-    store.add("b", np.zeros((1, 1)))
+    store = store_with(np.float32, a=np.zeros((1, 2)), b=np.zeros((1, 1)))
     store.params["a"].grad = np.array([[bad, 30.0]], dtype=np.float32)
     store.params["b"].grad = np.array([[40.0]], dtype=np.float32)
     with warnings.catch_warnings():
@@ -195,8 +232,7 @@ def test_float32_clip_norm_tracks_a_float64_reference():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_moments_take_the_store_dtype(dtype):
-    store = ParamStore(dtype=dtype)
-    store.add("w", np.ones((3, 2)))
+    store = store_with(dtype, w=np.ones((3, 2)))
     opt = Adam(store, lr=0.1)
     unit_normal_grads(store, np.random.default_rng(0))
     opt.step()
@@ -207,11 +243,7 @@ def test_moments_take_the_store_dtype(dtype):
 def test_float32_store_tracks_float64_store():
     rng = np.random.default_rng(7)
     init = {"w": rng.standard_normal((16, 8)), "b": rng.standard_normal((1, 8))}
-    stores = {}
-    for dtype in (np.float32, np.float64):
-        stores[dtype] = ParamStore(dtype=dtype)
-        for name, arr in init.items():
-            stores[dtype].add(name, arr)
+    stores = {dtype: store_with(dtype, **init) for dtype in (np.float32, np.float64)}
     opts = {dtype: Adam(store, lr=1e-2) for dtype, store in stores.items()}
     grad_rng = np.random.default_rng(8)
     for _ in range(50):

@@ -400,6 +400,8 @@ def test_update_target_copies_then_goes_stale():
     assert any(p.data.tobytes() != q.data.tobytes()
                for (_, p), (_, q) in zip(net.store.items(), target.store.items()))
     update_target(net, target)
+    assert target.store.buffer.tobytes() == net.store.buffer.tobytes()
+    assert not np.shares_memory(target.store.buffer, net.store.buffer)
     for (_, p), (_, q) in zip(net.store.items(), target.store.items()):
         assert p.data.tobytes() == q.data.tobytes()
     net.store.params["qhead.b2"].data += 0.5
