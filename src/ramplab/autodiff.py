@@ -11,6 +11,12 @@ leading batch axis internally, so scenes never mix;
 :func:`scene_matmul`'s mixer may return fewer rows per scene than it reads,
 and :func:`scene_attention` may take a key mask and the masked-in rows only.
 
+The one-owner rule: every VJP hands each parent an array of its own, sharing
+memory with no other returned array and with no node's data (``add`` copies
+for its second parent; :func:`concat_cols` hands out disjoint column views).
+So a leaf keeps the gradient it is handed, and the clip and Adam scale and
+overwrite ``.grad`` in place.
+
 Gradient recording can be suspended with ``with no_grad(): ...`` for target
 computations and finite-difference probes.
 """
@@ -102,7 +108,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add shape mismatch {a.data.shape} vs {b.data.shape}")
 
     def vjp(g):
-        return g, g
+        return g, g.copy()
 
     return _node(a.data + b.data, "add", (a, b), vjp)
 
@@ -322,11 +328,6 @@ def backward(loss: Tensor) -> None:
     if any(n._vjp is None and n.requires_grad and n.op != "leaf" for n in order):
         raise ValueError("graph already consumed by an earlier backward")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    # Arrays one VJP handed to two parents, such as add's (g, g), kept alive
-    # so that their ids stay theirs.  A leaf keeps the array it is given
-    # unless that is one of these or a view of one (concat's split): the
-    # clip scales leaf gradients in place.
-    shared: dict[int, np.ndarray] = {}
     # A walked node leaves the list and drops its closure and parents, so
     # its saved arrays die as soon as no pending node needs them.
     while order:
@@ -337,18 +338,12 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if vjp is None:
-            if node.grad is not None:
-                node.grad = node.grad + g
-            else:
-                node.grad = g.copy() if id(g) in shared or id(g.base) in shared else g
+            node.grad = g if node.grad is None else node.grad + g
             continue
-        pgs = vjp(g)
-        for i, pg in enumerate(pgs):
-            if pg is None or not parents[i].requires_grad:
+        for parent, pg in zip(parents, vjp(g)):
+            if pg is None or not parent.requires_grad:
                 continue
-            if any(pg is other for other in pgs[i + 1:]):
-                shared[id(pg)] = pg
-            key = id(parents[i])
+            key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg
             else:

@@ -158,8 +158,9 @@ class TrainingConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.buffer_capacity < 1:
-            raise ConfigError("buffer_capacity must be >= 1")
+        if self.buffer_capacity < self.batch:
+            raise ConfigError(f"buffer_capacity must be >= batch, got "
+                              f"{self.buffer_capacity} < {self.batch}")
         if self.target_update_interval < 1:
             raise ConfigError("target_update_interval must be >= 1")
         if self.checkpoint_interval < 1:
@@ -232,6 +233,8 @@ class ExperimentConfig:
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         self.scenario.validate()
+        if self.scenario.n_cav < 1:
+            raise ConfigError("scenario.n_cav must be >= 1: an episode ends when no CAV is left")
         self.network.validate()
         self.training.validate()
 

@@ -40,7 +40,7 @@ def clip_global_grad_norm(store: ParamStore, max_norm: float) -> float:
         factor = max_norm / norm
         for _, tensor in store.items():
             if tensor.grad is not None:
-                # backward gives every leaf its own gradient array
+                # each leaf owns its gradient (see autodiff)
                 tensor.grad *= factor
     return norm
 
@@ -58,9 +58,9 @@ class Adam:
     the trainer clips the gradient norm to 10 first, so neither is reached.
 
     ``step`` consumes the gradients: each is overwritten as its parameter's
-    work array, which backward makes its own, and the slots are cleared
-    afterwards.  Parameters with no gradient are left untouched and their
-    moments do not advance.
+    work array, the leaf's own by the one-owner rule in ``autodiff``'s
+    module docstring, and the slots are cleared afterwards.  Parameters
+    with no gradient are left untouched and their moments do not advance.
 
     ``m`` and ``v`` are views of the flat ``m_buffer`` and ``v_buffer``, laid
     out as the store's parameters.  Every ``SUBNORMAL_FLUSH_EVERY`` steps the

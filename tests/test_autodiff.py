@@ -157,8 +157,9 @@ def test_scene_attention_key_mask_on_every_row_and_on_the_active_rows():
 
 
 def test_backward_hands_a_shared_gradient_to_each_leaf_as_its_own_copy():
-    """add gives both parents one array; the clip scales leaf gradients in
-    place, so each leaf, and a leaf reached twice, is scaled exactly once."""
+    """By the one-owner rule add copies for its second parent; the clip
+    scales leaf gradients in place, so each leaf, and a leaf reached twice,
+    is scaled exactly once."""
     shapes = ([(name, (2, 3)) for name in "wab"] + [(name, (2, 1)) for name in "xu"]
               + [(name, (2, 2)) for name in "yz"])
     store = ParamStore(shapes, RNG.normal(size=30))
@@ -173,6 +174,43 @@ def test_backward_hands_a_shared_gradient_to_each_leaf_as_its_own_copy():
     norm = clip_global_grad_norm(store, 1e-3)
     for name, t in store.items():
         np.testing.assert_allclose(t.grad, want[name] * (1e-3 / norm), rtol=1e-12)
+
+
+ALIVE = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+OPS = {
+    "matmul": lambda: ad.matmul(leaf((3, 4)), leaf((4, 2))),
+    "scene_matmul": lambda: ad.scene_matmul(RNG.normal(size=(2, 1, 3)), leaf((6, 4))),
+    "add": lambda: ad.add(leaf((2, 3)), leaf((2, 3))),
+    "dense": lambda: ad.dense(leaf((3, 4)), leaf((4, 2)), leaf((1, 2))),
+    "mul": lambda: ad.mul(leaf((2, 3)), leaf((2, 3))),
+    "relu": lambda: ad.relu(leaf((3, 4))),
+    "layer_norm_rows": lambda: ad.layer_norm_rows(leaf((3, 4)), leaf((1, 4)), leaf((1, 4))),
+    "scene_attention": lambda: ad.scene_attention(leaf((6, 4)), leaf((6, 4)), leaf((6, 4)),
+                                                  2, 2),
+    "scene_attention_key_mask": lambda: ad.scene_attention(
+        leaf((12, 4)), leaf((12, 4)), leaf((12, 4)), 4, 2, ALIVE),
+    "scene_attention_active_rows": lambda: ad.scene_attention(
+        leaf((6, 4)), leaf((6, 4)), leaf((6, 4)), 4, 2, ALIVE),
+    "concat_cols": lambda: ad.concat_cols([leaf((3, 1)), leaf((3, 2)), leaf((3, 4))]),
+    "select_rows": lambda: ad.select_rows(leaf((5, 3)), np.array([3, 0, -1])),
+    "sum_all": lambda: ad.sum_all(leaf((3, 4))),
+    "squared_error_at": lambda: ad.squared_error_at(leaf((4, 3)), np.array([0, 2, 2, 1]),
+                                                    RNG.normal(size=4)),
+}
+
+
+@pytest.mark.parametrize("build", OPS.values(), ids=OPS.keys())
+def test_every_vjp_hands_each_parent_an_array_of_its_own(build):
+    """The one-owner rule: no returned gradient shares memory with another,
+    nor with the node's or a parent's data (exactly, so disjoint views pass)."""
+    node = build()
+    grads = node._vjp(RNG.normal(size=node.data.shape))
+    assert [g.shape for g in grads] == [p.data.shape for p in node._parents]
+    held = [node.data] + [p.data for p in node._parents]
+    for i, g in enumerate(grads):
+        for other in list(grads[i + 1:]) + held:
+            assert not np.shares_memory(g, other)
 
 
 def test_add_mul_grads():

@@ -183,6 +183,22 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("defect", [{"scenario": scenario(n_cav=0)},
+                                    {"training": dataclasses.replace(
+                                        small_experiment().training, buffer_capacity=3)}],
+                         ids=["no_cav", "replay_below_batch"])
+def test_a_config_that_can_take_no_gradient_step_exits_2(tmp_path, capsys, command, defect):
+    config = write_config(tmp_path / "config.json", small_experiment(**defect))
+    out = tmp_path / "run"
+    code = main([command, "--config", config, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "ramplab.cli", "--help"],

@@ -9,6 +9,7 @@ from ramplab.config import (
     IdmParams,
     NetworkConfig,
     ScenarioConfig,
+    TrainingConfig,
     load_experiment_config,
 )
 from ramplab.runs import write_json
@@ -137,3 +138,18 @@ def test_seeds_must_be_nonempty_and_distinct():
         dataclasses.replace(ExperimentConfig(), seeds=[]).validate()
     with pytest.raises(ConfigError, match="distinct"):
         dataclasses.replace(ExperimentConfig(), seeds=[1, 1]).validate()
+
+
+def test_a_replay_smaller_than_the_batch_is_refused():
+    """Such a replay never holds a batch, so training would take no step."""
+    TrainingConfig(batch=8, buffer_capacity=8).validate()
+    with pytest.raises(ConfigError, match="buffer_capacity"):
+        TrainingConfig(batch=8, buffer_capacity=4).validate()
+
+
+def test_an_experiment_needs_a_cav_but_a_scenario_does_not():
+    """With no CAV every episode ends at step 0; the simulator alone may
+    still run human-only traffic."""
+    ScenarioConfig(n_cav=0).validate()
+    with pytest.raises(ConfigError, match="n_cav"):
+        ExperimentConfig(scenario=ScenarioConfig(n_cav=0)).validate()
