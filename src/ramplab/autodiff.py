@@ -18,7 +18,11 @@ So a leaf keeps the gradient it is handed, and the clip and Adam scale and
 overwrite ``.grad`` in place.
 
 Gradient recording can be suspended with ``with no_grad(): ...`` for target
-computations and finite-difference probes.
+computations and finite-difference probes.  The forward arithmetic of
+:func:`dense`, :func:`scene_matmul`, :func:`layer_norm_rows` and the
+attention core is also a plain function on arrays (:func:`affine`,
+:func:`scene_mix`, :func:`layer_norm`, :func:`softmax_attention`), which
+the op calls and a tape-free forward may call too, with the same bytes.
 """
 from __future__ import annotations
 
@@ -91,16 +95,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, "matmul", (a, b), vjp)
 
 
+def scene_mix(e: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per-scene product of a (B, r, n) stack with (B*n, k) rows, scene-major:
+    scene b's r output rows are ``e[b] @ a[b*n:(b+1)*n]``."""
+    n_scenes, _, n = e.shape
+    k = a.shape[1]
+    return (e @ a.reshape(n_scenes, n, k)).reshape(-1, k)
+
+
 def scene_matmul(e: np.ndarray, a: Tensor) -> Tensor:
-    """Per-scene product of a constant (B, r, n) stack with ``a``'s (B*n, k)
-    rows, scene-major: scene b's r output rows are ``e[b] @ a[b*n:(b+1)*n]``."""
-    n_scenes, r, n = e.shape
+    """:func:`scene_mix` of a constant stack ``e`` with ``a``."""
+    n_scenes, r, _ = e.shape
     k = a.data.shape[1]
 
     def vjp(g):
         return ((e.transpose(0, 2, 1) @ g.reshape(n_scenes, r, k)).reshape(-1, k),)
 
-    return _node((e @ a.data.reshape(n_scenes, n, k)).reshape(-1, k), "scene_matmul", (a,), vjp)
+    return _node(scene_mix(e, a.data), "scene_matmul", (a,), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -113,13 +124,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, "add", (a, b), vjp)
 
 
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w`` plus a row-broadcast (1, k) bias, added in place, so no
+    second (rows, k) array is made."""
+    y = x @ w
+    y += b
+    return y
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w`` plus a row-broadcast (1, k) bias, as one node: the bias is
-    added in place, so no second (rows, k) array is made."""
+    """:func:`affine` as one node."""
     if b.data.shape != (1, w.data.shape[1]):
         raise ValueError(f"bias shape {b.data.shape} does not fit {w.data.shape}")
-    y = x.data @ w.data
-    y += b.data
+    y = affine(x.data, w.data, b.data)
 
     def vjp(g):
         return (
@@ -156,14 +173,23 @@ def relu(a: Tensor) -> Tensor:
 LAYER_NORM_EPS = 1e-5   # added to each row's variance
 
 
-def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row standardisation followed by an affine map with (1, k) params."""
+def layer_norm(a: np.ndarray, gain: np.ndarray,
+               bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row standardisation followed by an affine map with (1, k) params:
+    the output, then the standardised rows and their (rows, 1) std."""
     # sum / k is what ndarray.mean computes, without its Python wrappers
-    k = a.data.shape[1]
-    mu = np.add.reduce(a.data, axis=1, keepdims=True) / k
-    centred = a.data - mu
+    k = a.shape[1]
+    mu = np.add.reduce(a, axis=1, keepdims=True) / k
+    centred = a - mu
     std = np.sqrt(np.add.reduce(centred * centred, axis=1, keepdims=True) / k + LAYER_NORM_EPS)
     y = centred / std
+    return y * gain + bias, y, std
+
+
+def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """:func:`layer_norm` as one node."""
+    k = a.data.shape[1]
+    out, y, std = layer_norm(a.data, gain.data, bias.data)
 
     def vjp(g):
         dy = g * gain.data
@@ -171,7 +197,7 @@ def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
               - y * ((dy * y).sum(axis=1, keepdims=True) / k)) / std
         return dx, (g * y).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
-    return _node(y * gain.data + bias.data, "layer_norm", (a, gain, bias), vjp)
+    return _node(out, "layer_norm", (a, gain, bias), vjp)
 
 
 def _reduce_keys(ufunc, a: np.ndarray) -> np.ndarray:
@@ -186,6 +212,29 @@ def _reduce_keys(ufunc, a: np.ndarray) -> np.ndarray:
     for j in range(2, a.shape[-1]):
         ufunc(out, a[..., j], out=out)
     return out[..., None]
+
+
+def key_mask(alive: np.ndarray) -> np.ndarray:
+    """The (B, m, m) mask of which keys each query row may see under the
+    (B, m) key mask ``alive``: the active tokens of its scene, and itself."""
+    m = alive.shape[1]
+    seen = alive[:, :, None] & alive[:, None, :]
+    seen.reshape(len(alive), -1)[:, ::m + 1] = True
+    return seen
+
+
+def softmax_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
+                      seen: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention of (B, h, m, d/h) head stacks, each
+    query row over the keys its scene's row of ``seen`` (see ``key_mask``)
+    marks, or over all of them: the weights and the (B, h, m, d/h) output."""
+    c = 1.0 / math.sqrt(qh.shape[-1])  # a Python float keeps float32 scores float32
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    if seen is not None:
+        np.copyto(scores, -np.inf, where=~seen[:, None])
+    e = np.exp(scores - _reduce_keys(np.maximum, scores))
+    p = e / _reduce_keys(np.add, e)
+    return p, p @ vh
 
 
 def scene_attention(q: Tensor, k: Tensor, v: Tensor, n_scenes: int, n_heads: int,
@@ -212,7 +261,7 @@ def scene_attention(q: Tensor, k: Tensor, v: Tensor, n_scenes: int, n_heads: int
     if d % n_heads or not fits:
         raise ValueError(f"{rows}x{d} does not split into {n_scenes} scenes x {n_heads} heads")
     d_head = d // n_heads
-    c = 1.0 / math.sqrt(d_head)  # a Python float keeps float32 scores float32
+    c = 1.0 / math.sqrt(d_head)
     slots = np.flatnonzero(alive) if packed else None
 
     def heads(arr):  # (B*m, d) -> (B, h, m, d/h)
@@ -227,13 +276,7 @@ def scene_attention(q: Tensor, k: Tensor, v: Tensor, n_scenes: int, n_heads: int
         return arr[slots] if packed else arr
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
-    if alive is not None:
-        seen = alive[:, :, None] & alive[:, None, :]
-        seen.reshape(n_scenes, -1)[:, ::m + 1] = True   # and itself
-        np.copyto(scores, -np.inf, where=~seen[:, None])
-    e = np.exp(scores - _reduce_keys(np.maximum, scores))
-    p = e / _reduce_keys(np.add, e)
+    p, out = softmax_attention(qh, kh, vh, None if alive is None else key_mask(alive))
 
     def vjp(g):
         gh = heads(g)
@@ -242,7 +285,7 @@ def scene_attention(q: Tensor, k: Tensor, v: Tensor, n_scenes: int, n_heads: int
         dq, dk = ds @ kh, ds.transpose(0, 1, 3, 2) @ qh
         return merge(dq), merge(dk), merge(p.transpose(0, 1, 3, 2) @ gh)
 
-    return _node(merge(p @ vh), "scene_attention", (q, k, v), vjp)
+    return _node(merge(out), "scene_attention", (q, k, v), vjp)
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:

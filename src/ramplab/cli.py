@@ -21,7 +21,7 @@ from ramplab.config import (
     ExperimentConfig,
     load_experiment_config,
 )
-from ramplab.network import CheckpointError, QNetwork, network_from_checkpoint
+from ramplab.network import CheckpointError, QNetwork, TrainingError, network_from_checkpoint
 from ramplab.representation import feature_width, grid_width
 from ramplab.runs import (
     SUMMARY_METRICS,
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     keep_freed_heap()
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, TrainingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

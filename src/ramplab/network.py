@@ -24,7 +24,13 @@ readout is the first m rows of each scene.  Each variant names the snapshot
 fields its forward reads, the node feature rows included (``madqn`` reads
 its CAVs' rows only), and :meth:`QNetwork.observe` builds only those.
 
-Parameters are views of one flat buffer in a :class:`ParamStore`;
+Learning runs on the autodiff tape (``forward_batch``).  Acting runs the
+same composition on plain arrays (``forward_arrays``, behind ``q_values``)
+through the same forward functions, so it gives the same bytes and builds
+no tape node.
+
+Parameters are views of one flat buffer, which starts on a 64-byte
+boundary, in a :class:`ParamStore`;
 checkpoints are a JSON manifest plus that buffer as a little-endian float32
 blob, and round-trip bit-exactly.
 """
@@ -44,20 +50,25 @@ import numpy as np
 from ramplab.autodiff import (
     Tensor,
     add,
+    affine,
     concat_cols,
     dense,
+    key_mask,
+    layer_norm,
     layer_norm_rows,
     matmul,
-    no_grad,
     relu,
     scene_attention,
     scene_matmul,
+    scene_mix,
     select_rows,
+    softmax_attention,
 )
 from ramplab.config import ExperimentConfig, NetworkConfig, ScenarioConfig
 from ramplab.representation import (
     StateBatch,
     StateSnapshot,
+    batch_of_one,
     build_state,
     feature_width,
     grid_rows,
@@ -72,6 +83,19 @@ class TrainingError(RuntimeError):
 
 class CheckpointError(RuntimeError):
     """Checkpoint missing, malformed, or incompatible with the architecture."""
+
+
+# A parameter buffer starts on a cache-line boundary.
+BUFFER_ALIGN = 64
+
+
+def aligned_empty(size: int, dtype) -> np.ndarray:
+    """A fresh flat array of ``size`` values whose first byte lies on a
+    ``BUFFER_ALIGN``-byte boundary (a view into a slightly larger block)."""
+    nbytes = size * np.dtype(dtype).itemsize
+    block = np.empty(nbytes + BUFFER_ALIGN, np.uint8)
+    start = -block.ctypes.data % BUFFER_ALIGN
+    return block[start:start + nbytes].view(dtype)
 
 
 def param_views(shapes: list[tuple[str, tuple]], buffer: np.ndarray) -> dict[str, np.ndarray]:
@@ -286,10 +310,10 @@ def q_head(
     return dense(relu(dense(fused, w1, b1)), w2, b2)
 
 
-def flat_rows(stacked: np.ndarray, dtype) -> Tensor:
+def flat_rows(stacked: np.ndarray, dtype) -> np.ndarray:
     """(B, k, w) per-scene rows, or rows already scene-major, as one (N, w)
     input."""
-    return Tensor(stacked.reshape(-1, stacked.shape[-1]).astype(dtype, copy=False))
+    return stacked.reshape(-1, stacked.shape[-1]).astype(dtype, copy=False)
 
 
 class QNetwork:
@@ -354,22 +378,21 @@ class QNetwork:
                            feature_rows=self.feature_rows(scenario),
                            with_adjacency=self.reads_adjacency)
 
-    def forward(self, snap: StateSnapshot) -> Tensor:
-        """Q rows of one snapshot, as ``forward_batch`` of a batch of one
-        whose arrays view the snapshot's where ``stack_states`` copies them."""
-        def one(name):
-            value = getattr(snap, name)
-            return None if value is None else np.asarray(value)[None]
+    def forward_arrays(self, states: StateBatch) -> np.ndarray:  # pragma: no cover
+        """``forward_batch(states).data`` on every CAV row, byte for byte,
+        computed on plain arrays: no tape node is built."""
+        raise NotImplementedError
 
-        return self.forward_batch(StateBatch(**{f.name: one(f.name)
-                                                for f in dataclasses.fields(StateBatch)}))
+    def forward(self, snap: StateSnapshot) -> Tensor:
+        """Q rows of one snapshot, as ``forward_batch`` of ``batch_of_one``."""
+        return self.forward_batch(batch_of_one(snap))
 
     def q_values(self, snap: StateSnapshot) -> np.ndarray:
-        """Inference-only Q table (m x 9) for one snapshot."""
-        with no_grad():
-            q = self.forward(snap).data
+        """Inference-only Q table (m x 9) for one snapshot: the bytes of
+        ``forward(snap).data``, from ``forward_arrays``."""
+        q = self.forward_arrays(batch_of_one(snap))
         if not np.isfinite(q).all():
-            raise TrainingError("non-finite Q values in forward pass")
+            raise TrainingError("non-finite Q values in the network's output")
         return q
 
     # -- shared pieces ---------------------------------------------------
@@ -379,9 +402,36 @@ class QNetwork:
         (``rows``, from ``active_rows``) as the only tokens; inactive CAVs
         are masked out of every other token's attention."""
         alive = None if states.alive.all() else states.alive
-        return transformer_encode(flat_rows(grid_rows(states, rows), self.store.dtype),
+        return transformer_encode(Tensor(flat_rows(grid_rows(states, rows), self.store.dtype)),
                                   self.transformer, self.net_cfg.n_heads, len(states.alive),
                                   alive)
+
+    def _encode_arrays(self, states: StateBatch) -> np.ndarray:
+        """``_encode`` of every CAV row on plain arrays (``transformer_encode``
+        without the tape)."""
+        n_scenes, m = states.alive.shape
+        seen = None if states.alive.all() else key_mask(states.alive)
+        t = self.transformer
+        x = affine(flat_rows(grid_rows(states), self.store.dtype),
+                   t.embed_w.data, t.embed_b.data)
+        d = x.shape[1]
+        shape = n_scenes, m, self.net_cfg.n_heads, d // self.net_cfg.n_heads
+
+        def heads(w):  # (B*m, d) -> (B, h, m, d/h)
+            return (x @ w.data).reshape(shape).transpose(0, 2, 1, 3)
+
+        for blk in t.blocks:
+            _, out = softmax_attention(heads(blk.wq), heads(blk.wk), heads(blk.wv), seen)
+            h = out.transpose(0, 2, 1, 3).reshape(-1, d) @ blk.wo.data + x
+            mlp = affine(np.maximum(affine(h, blk.mlp_w1.data, blk.mlp_b1.data), 0),
+                         blk.mlp_w2.data, blk.mlp_b2.data)
+            x = layer_norm(mlp, blk.ln_g.data, blk.ln_b.data)[0]
+        return x
+
+    def _q_head_arrays(self, fused: np.ndarray) -> np.ndarray:
+        """``q_head`` on plain arrays, its inputs already joined."""
+        hidden = np.maximum(affine(fused, self.q_w1.data, self.q_b1.data), 0)
+        return affine(hidden, self.q_w2.data, self.q_b2.data)
 
     # -- persistence -----------------------------------------------------
 
@@ -395,8 +445,10 @@ class QNetwork:
         }
 
     def clone(self) -> "QNetwork":
+        buffer = aligned_empty(len(self.store.buffer), self.store.dtype)
+        buffer[...] = self.store.buffer
         return type(self)(self.net_cfg, self.representation, self.input_width, self.feat_width,
-                          self.store.buffer.copy())
+                          buffer)
 
 
 class GitsrNetwork(QNetwork):
@@ -419,9 +471,20 @@ class GitsrNetwork(QNetwork):
         rows = active_rows(states, active_only)
         x = self._encode(states, rows)
         e_norm = gcn_normalize(states.adjacency.astype(dtype))
-        h = gcn_forward(flat_rows(states.features, dtype), e_norm, self.gcn_weights,
+        h = gcn_forward(Tensor(flat_rows(states.features, dtype)), e_norm, self.gcn_weights,
                         states.alive.shape[1], rows)
         return q_head(x, h, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
+
+    def forward_arrays(self, states: StateBatch) -> np.ndarray:
+        dtype = self.store.dtype
+        x = self._encode_arrays(states)
+        mixer = gcn_normalize(states.adjacency.astype(dtype))
+        h = flat_rows(states.features, dtype)
+        for w in self.gcn_weights[:-1]:
+            h = np.maximum(scene_mix(mixer, h @ w.data), 0)
+        readout = scene_mix(mixer[:, :states.alive.shape[1]], h)
+        h = np.maximum(readout @ self.gcn_weights[-1].data, 0)
+        return self._q_head_arrays(np.concatenate([x, h], axis=1))
 
 
 class TransformerOnlyNetwork(QNetwork):
@@ -434,6 +497,9 @@ class TransformerOnlyNetwork(QNetwork):
     def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
         x = self._encode(states, active_rows(states, active_only))
         return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
+
+    def forward_arrays(self, states: StateBatch) -> np.ndarray:
+        return self._q_head_arrays(self._encode_arrays(states))
 
 
 class BaselineNetwork(QNetwork):
@@ -450,18 +516,24 @@ class BaselineNetwork(QNetwork):
         """The CAVs' own rows, (m, f): no other row is read."""
         return scenario.n_cav
 
-    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
-        """Raises ``ValueError`` unless ``features`` holds m rows a scene,
-        the CAVs' own, as :meth:`observe` makes them."""
+    def _inputs(self, states: StateBatch, rows: np.ndarray | None) -> np.ndarray:
+        """Each CAV row's own features joined with its grid row.  Raises
+        ``ValueError`` unless ``features`` holds m rows a scene, the CAVs'
+        own, as :meth:`observe` makes them."""
         features = states.features
         if features.shape[-2] != states.alive.shape[1]:
             raise ValueError(f"madqn reads one feature row per CAV ({states.alive.shape[1]} a "
                              f"scene), got {features.shape[-2]}")
-        rows = active_rows(states, active_only)
         own = features.reshape(-1, features.shape[-1])
         x = np.concatenate([own if rows is None else own[rows], grid_rows(states, rows)], axis=1)
-        return q_head(flat_rows(x, self.store.dtype), None,
-                      self.q_w1, self.q_b1, self.q_w2, self.q_b2)
+        return flat_rows(x, self.store.dtype)
+
+    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
+        x = Tensor(self._inputs(states, active_rows(states, active_only)))
+        return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
+
+    def forward_arrays(self, states: StateBatch) -> np.ndarray:
+        return self._q_head_arrays(self._inputs(states, None))
 
 
 _VARIANTS = {
@@ -479,7 +551,7 @@ def build_network(cfg: ExperimentConfig, seed: int, dtype=np.float32) -> QNetwor
     cfg.network.validate()
     widths = grid_width(cfg.scenario, cfg.representation), feature_width(cfg.scenario)
     size = sum(math.prod(shape) for _, shape in cls.param_shapes(cfg.network, *widths))
-    net = cls(cfg.network, cfg.representation, *widths, np.empty(size, dtype))
+    net = cls(cfg.network, cfg.representation, *widths, aligned_empty(size, dtype))
     rng = np.random.default_rng(seed)
     # each draw is cast into its view as it is made: no copy of the network lives
     for name, tensor in net.store.items():
@@ -549,10 +621,10 @@ def _architecture(meta: dict, n_params: int) -> tuple[type[QNetwork], NetworkCon
         raise CheckpointError(f"unusable checkpoint metadata: {exc}") from exc
 
 
-def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The metadata and parameters of the checkpoint at ``directory``: one
-    array per parameter in store order, each a view of one fresh flat array
-    (their ``base``) read from the blob in the manifest's dtype.
+def read_checkpoint(directory: str | Path) -> tuple[dict, list[tuple[str, tuple]], np.ndarray]:
+    """The metadata, parameter shapes and flat parameter buffer of the
+    checkpoint at ``directory``: one fresh ``aligned_empty`` array read from
+    the blob in the manifest's dtype, laid out in ``param_views`` order.
 
     The manifest must list the parameters of the architecture its metadata
     names, with their shapes, in store order and back to back from offset 0,
@@ -595,17 +667,27 @@ def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]
         size = os.fstat(fh.fileno()).st_size
         if size < offset:
             raise CheckpointError(f"checkpoint blob truncated: {size} bytes of {offset}")
-        buffer = np.empty(offset // dtype.itemsize, dtype)
+        buffer = aligned_empty(offset // dtype.itemsize, dtype)
         fh.readinto(buffer)
-    return meta, param_views(wanted, buffer)
+    return meta, wanted, buffer
+
+
+def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The metadata and parameters of the checkpoint at ``directory``, one
+    view per parameter of the buffer ``read_checkpoint`` reads."""
+    meta, shapes, buffer = read_checkpoint(directory)
+    return meta, param_views(shapes, buffer)
 
 
 def network_from_checkpoint(directory: str | Path) -> QNetwork:
     """Rebuild the saved architecture in float32 around the array that
-    ``load_checkpoint`` reads, whose values must be finite."""
-    meta, arrays = load_checkpoint(directory)
-    cls, net_cfg, representation, widths = _architecture(meta, len(arrays))
-    buffer = next(iter(arrays.values())).base.astype(np.float32, copy=False)
+    ``read_checkpoint`` reads (cast into a new one if stored in another
+    dtype), whose values must be finite."""
+    meta, shapes, buffer = read_checkpoint(directory)
+    cls, net_cfg, representation, widths = _architecture(meta, len(shapes))
+    if buffer.dtype != np.float32:
+        stored, buffer = buffer, aligned_empty(len(buffer), np.float32)
+        buffer[...] = stored
     net = cls(net_cfg, representation, *widths, buffer)
     bad = net.store.non_finite()
     if bad is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ramplab.config import ScenarioConfig
-from ramplab.simulation import KIND_CODE, WorldState, lane_index
+from ramplab.simulation import KIND_CODE, VehicleKind, WorldState, lane_index
 
 CELL_M = 2.0
 GRID_RADIUS_M = 50.0
@@ -146,12 +146,16 @@ def build_adjacency(world: WorldState, config: ScenarioConfig) -> np.ndarray:
     n = len(world.vehicles)
     adj = np.eye(n)
     cavs = world.active_cav_ids()
-    hdvs = world.active_hdv_ids()
+    # each HDV's x read once; at 14 vehicles, element assignments beat a
+    # fancy assignment per CAV row and column
+    hdvs = [(veh.id, veh.x) for veh in world.vehicles
+            if veh.active and veh.kind is VehicleKind.HDV]
     for i_pos, i in enumerate(cavs):
         for j in cavs[i_pos + 1:]:
             adj[i, j] = adj[j, i] = 1.0
-        for j in hdvs:
-            if abs(world.vehicle(i).x - world.vehicle(j).x) <= PERCEPTION_RADIUS_M:
+        x = world.vehicles[i].x
+        for j, x_j in hdvs:
+            if abs(x - x_j) <= PERCEPTION_RADIUS_M:
                 adj[i, j] = adj[j, i] = 1.0
     return adj
 
@@ -204,6 +208,15 @@ def stack_states(snaps: list[StateSnapshot]) -> StateBatch:
         return None if values[0] is None else np.array(values)
 
     return StateBatch(**{f.name: stacked(f.name) for f in fields(StateBatch)})
+
+
+def batch_of_one(snap: StateSnapshot) -> StateBatch:
+    """``snap`` as a batch of one whose arrays view the snapshot's where
+    ``stack_states`` copies them."""
+    def one(value):
+        return None if value is None else value[None]
+
+    return StateBatch(snap.sr[None], snap.alive[None], one(snap.features), one(snap.adjacency))
 
 
 def grid_rows(states: StateBatch, rows: np.ndarray | None = None) -> np.ndarray:

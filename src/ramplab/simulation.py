@@ -91,13 +91,20 @@ class ActionCommand:
 
     @classmethod
     def from_index(cls, index: int) -> "ActionCommand":
+        """The command at ``index`` = 3 * lateral + longitudinal, one of
+        ``N_ACTIONS`` built once."""
         if not 0 <= index < N_ACTIONS:
             raise ValueError(f"action index must lie in [0, {N_ACTIONS}), got {index}")
-        return cls(Lateral(index // 3), Longitudinal(index % 3))
+        return _COMMANDS[index]
 
     @property
     def index(self) -> int:
         return 3 * int(self.lateral) + int(self.longitudinal)
+
+
+_COMMANDS = tuple(ActionCommand(Lateral(i // 3), Longitudinal(i % 3)) for i in range(N_ACTIONS))
+# A CAV's acceleration, m/s^2, indexed by its Longitudinal command.
+_COMMAND_ACCEL = (CAV_COMMAND_ACCEL, 0.0, -CAV_COMMAND_ACCEL)
 
 
 @dataclass
@@ -293,8 +300,8 @@ def change_hdv_lanes(world: WorldState, lanes: LaneIndex, config: ScenarioConfig
 
 
 def _clamped_lane(lane: int, lateral: Lateral, n_lanes: int) -> int:
-    delta = {Lateral.LEFT: -1, Lateral.KEEP: 0, Lateral.RIGHT: 1}[lateral]
-    return min(max(lane + delta, 1), n_lanes)
+    # LEFT, KEEP and RIGHT are 0, 1 and 2: a lane change of -1, 0 or +1
+    return min(max(lane + lateral - 1, 1), n_lanes)
 
 
 def _euler_speed(v: float, accel: float, config: ScenarioConfig) -> float:
@@ -383,11 +390,7 @@ def step(
         if veh.kind is VehicleKind.HDV:
             accel = hdv_accel[veh.id]
         else:
-            accel = {
-                Longitudinal.ACCELERATE: CAV_COMMAND_ACCEL,
-                Longitudinal.MAINTAIN: 0.0,
-                Longitudinal.DECELERATE: -CAV_COMMAND_ACCEL,
-            }[actions[veh.id].longitudinal]
+            accel = _COMMAND_ACCEL[actions[veh.id].longitudinal]
         veh.v = _euler_speed(veh.v, accel, config)
         veh.x += veh.v * config.dt
 

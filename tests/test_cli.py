@@ -394,6 +394,20 @@ def test_non_finite_weight_exits_2(trained_run, tmp_path, capsys, bad):
     assert "non-finite" in err and "embed.w" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+def test_finite_weights_whose_q_values_overflow_exit_2(trained_run, tmp_path, capsys, command):
+    """Every weight is finite, so the checkpoint loads, but scaled by 1e30
+    the forward overflows float32: the non-finite Q check's TrainingError
+    is reported as one error line, and no output file is written."""
+    ckpt = damaged_checkpoint(trained_run, tmp_path)
+    blob = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype="<f4") * np.float32(1e30)
+    assert np.isfinite(blob).all()
+    (ckpt / "params.bin").write_bytes(blob.astype("<f4").tobytes())
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = exits_2_with_one_line_error(command, trained_run, ckpt, tmp_path, capsys)
+    assert "non-finite Q values" in err
+
+
 def untrained_checkpoint(variant, root):
     """A freshly built network of the small experiment, saved, and its config."""
     cfg = small_experiment(model_variant=variant,

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import tracemalloc
@@ -23,6 +24,7 @@ from ramplab.autodiff import (
 from ramplab.config import MODEL_VARIANTS, ExperimentConfig
 from ramplab.network import (
     CheckpointError,
+    QNetwork,
     TrainingError,
     build_network,
     gcn_forward,
@@ -37,6 +39,7 @@ from ramplab.network import (
 from ramplab.optim import Adam
 from ramplab.representation import StateBatch, build_state, grid_rows, stack_states
 from ramplab.simulation import ActionCommand, episode_done, reset, step
+from ramplab.trainer import greedy_actions, rollout
 
 
 def make_snap(net, seed, config):
@@ -267,6 +270,52 @@ def test_q_values_equal_a_stacked_batch_of_one_and_leave_the_snapshot_alone(vari
         q = net.q_values(snap)
         assert q.tobytes() == net.forward_batch(stack_states([snap])).data.tobytes()
         assert {name: getattr(snap, name).tobytes() for name in before} == before
+
+
+def acting_snapshots(net, cfg, seed):
+    """What ``net`` acts on along two greedy episodes of its own and two of
+    uniformly random play."""
+    snaps = []
+    rng = np.random.default_rng(seed)
+    policies = [functools.partial(greedy_actions, net)] * 2 + [
+        lambda snap: rng.integers(9, size=snap.n_cavs)] * 2
+    for episode, policy in enumerate(policies):
+        def recording(snap, policy=policy):
+            snaps.append(snap)
+            return policy(snap)
+
+        rollout(reset(cfg.scenario, seed + episode), cfg, net, recording)
+    return snaps
+
+
+@pytest.mark.parametrize("representation", ["agent_centric", "scene_centric"])
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_q_values_on_arrays_give_the_bytes_of_the_tape_forward(variant, representation):
+    """The default float32 network (two blocks, two graph layers) acting on
+    snapshots of greedy and random play, inactive CAVs among them: q_values,
+    which builds no tape node, gives forward's bytes; so does forward_arrays
+    on a stacked batch, against forward_batch."""
+    cfg = ExperimentConfig(model_variant=variant, representation=representation,
+                           scenario=scenario(max_steps=40))
+    net = build_network(cfg, seed=3)
+    snaps = acting_snapshots(net, cfg, seed=5)
+    assert sum(0 < snap.alive.sum() < snap.n_cavs for snap in snaps) >= 10
+    for snap in snaps:
+        assert net.q_values(snap).tobytes() == net.forward(snap).data.tobytes()
+    states = stack_states(snaps[::7])
+    assert net.forward_arrays(states).tobytes() == net.forward_batch(states).data.tobytes()
+
+
+def test_no_variant_defines_its_own_q_values():
+    """The benchmark traces QNetwork.q_values; a variant's own would leave
+    its acting forward out of the trace."""
+    classes, found = [QNetwork], []
+    while classes:
+        cls = classes.pop()
+        found.append(cls)
+        classes += cls.__subclasses__()
+    assert set(network_module._VARIANTS.values()) <= set(found)
+    assert [cls for cls in found[1:] if "q_values" in vars(cls)] == []
 
 
 def test_gitsr_tape_size_does_not_grow_with_batch():
@@ -696,13 +745,14 @@ def test_clone_copies_parameters():
 
 def test_nan_weight_reaches_the_q_check():
     # a NaN pre-activation propagates through ReLU instead of becoming 0
-    cfg = small_experiment(model_variant="gitsr")
-    net = build_network(cfg, seed=2)
-    snap = make_snap(net, 1, cfg.scenario)
-    assert np.isfinite(net.q_values(snap)).all()
-    net.store.params["qhead.w1"].data[0, 0] = np.nan
-    with pytest.raises(TrainingError, match="non-finite Q values"):
-        net.q_values(snap)
+    for variant in MODEL_VARIANTS:
+        cfg = small_experiment(model_variant=variant)
+        net = build_network(cfg, seed=2)
+        snap = make_snap(net, 1, cfg.scenario)
+        assert np.isfinite(net.q_values(snap)).all()
+        net.store.params["qhead.w1"].data[0, 0] = np.nan
+        with pytest.raises(TrainingError, match="non-finite Q values"):
+            net.q_values(snap)
 
 
 def test_check_finite_grads_names_offender():

@@ -31,6 +31,10 @@ ALLOWED = {
         "acceptance criterion 1 sums the probe-weighted Q rows into its loss with it",
     "autodiff.mul":
         "acceptance criterion 1 weights the Q rows by a random probe with it",
+    "network.QNetwork.forward":
+        "acceptance criterion 1 differentiates through it, and the tests hold q_values to it",
+    "network.load_checkpoint":
+        "acceptance criterion 9 and the checkpoint tests read the stored parameters by name with it",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
