@@ -55,28 +55,28 @@ def main(argv=None) -> int:
             raise ConfigError(f"window must be >= 1, got {args.window}")
         for cfg in cfgs:
             cfg.validate()
-    except ConfigError as exc:
-        # the CLI's report of a bad config, before anything is written
+        arms: dict[str, dict] = {}
+        for variant, cfg in zip(ARMS, cfgs):
+            per_seed = {
+                str(seed): float(np.mean([m.return_total for m in rows[-args.window:]]))
+                for seed, rows in train_cell(cfg, cfg.output_dir).items()
+            }
+            arms[variant] = {
+                "per_seed": per_seed,
+                "mean": float(np.mean(list(per_seed.values()))),
+            }
+        report = {
+            "episodes": args.episodes,
+            "window": args.window,
+            "seeds": args.seeds,
+            "arms": arms,
+            "ordering_holds": bool(arms["gitsr"]["mean"] >= arms["madqn"]["mean"]),
+        }
+        (out_dir / "trend_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    except (ConfigError, OSError) as exc:
+        # the CLI's report: a bad config before anything is written, or an I/O error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    arms: dict[str, dict] = {}
-    for variant, cfg in zip(ARMS, cfgs):
-        per_seed = {
-            str(seed): float(np.mean([m.return_total for m in rows[-args.window:]]))
-            for seed, rows in train_cell(cfg, cfg.output_dir).items()
-        }
-        arms[variant] = {
-            "per_seed": per_seed,
-            "mean": float(np.mean(list(per_seed.values()))),
-        }
-    report = {
-        "episodes": args.episodes,
-        "window": args.window,
-        "seeds": args.seeds,
-        "arms": arms,
-        "ordering_holds": bool(arms["gitsr"]["mean"] >= arms["madqn"]["mean"]),
-    }
-    (out_dir / "trend_report.json").write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2), flush=True)
     return 0
 

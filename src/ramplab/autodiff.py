@@ -18,15 +18,20 @@ So a leaf keeps the gradient it is handed, and the clip and Adam scale and
 overwrite ``.grad`` in place.
 
 Gradient recording can be suspended with ``with no_grad(): ...`` for target
-computations and finite-difference probes.  The forward arithmetic of
-:func:`dense`, :func:`scene_matmul`, :func:`layer_norm_rows` and the
-attention core is also a plain function on arrays (:func:`affine`,
-:func:`scene_mix`, :func:`layer_norm`, :func:`softmax_attention`), which
-the op calls and a tape-free forward may call too, with the same bytes.
+computations and finite-difference probes.
+
+One composition, two op tables: a forward written against ``ops.<name>``
+runs on the tape with this module as its table, or on plain arrays with
+:data:`on_arrays`, whose entries compute the same bytes as the ops' ``.data``
+from the same plain functions (:func:`affine`, :func:`scene_mix`,
+:func:`layer_norm`, :func:`softmax_attention`, :func:`key_mask`) and build
+no node.
 """
 from __future__ import annotations
 
+import functools
 import math
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -294,6 +299,44 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
 
     return _node(np.concatenate([t.data for t in tensors], axis=1), "concat", tuple(tensors),
                  vjp)
+
+
+@functools.lru_cache(maxsize=64)
+def _read_only_key_mask(shape: tuple[int, int], alive_bytes: bytes) -> np.ndarray:
+    """:func:`key_mask` of the boolean key mask with these shape and bytes,
+    kept: an actor sees few distinct masks, and each block reads one."""
+    seen = key_mask(np.frombuffer(alive_bytes, dtype=bool).reshape(shape))
+    seen.flags.writeable = False
+    return seen
+
+
+def _scene_attention_on_arrays(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_scenes: int,
+                               n_heads: int, alive: np.ndarray | None = None) -> np.ndarray:
+    """:func:`scene_attention`'s output on every row, from plain arrays."""
+    d = q.shape[1]
+    shape = n_scenes, -1, n_heads, d // n_heads   # (B*m, d) -> (B, h, m, d/h) below
+    seen = None if alive is None else _read_only_key_mask(alive.shape, alive.tobytes())
+    _, out = softmax_attention(q.reshape(shape).transpose(0, 2, 1, 3),
+                               k.reshape(shape).transpose(0, 2, 1, 3),
+                               v.reshape(shape).transpose(0, 2, 1, 3), seen)
+    return out.transpose(0, 2, 1, 3).reshape(-1, d)
+
+
+# The ops a forward composes, on plain arrays: each entry takes what the op
+# of its name takes, with arrays for tensors other than parameters, and
+# returns the bytes of that op's ``.data``.  Every call costs the actor, so
+# an entry is the plain function itself wherever one fits.
+on_arrays = SimpleNamespace(
+    Tensor=np.asarray,
+    matmul=lambda a, w: a @ w.data,
+    add=np.add,
+    dense=lambda x, w, b: affine(x, w.data, b.data),
+    relu=lambda a: np.maximum(a, 0),
+    layer_norm_rows=lambda a, gain, bias: layer_norm(a, gain.data, bias.data)[0],
+    scene_matmul=scene_mix,
+    scene_attention=_scene_attention_on_arrays,
+    concat_cols=lambda arrays: np.concatenate(arrays, axis=1),
+)
 
 
 def select_rows(a: Tensor, indices: np.ndarray) -> Tensor:

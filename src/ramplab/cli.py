@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     keep_freed_heap()
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, TrainingError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,10 +24,11 @@ readout is the first m rows of each scene.  Each variant names the snapshot
 fields its forward reads, the node feature rows included (``madqn`` reads
 its CAVs' rows only), and :meth:`QNetwork.observe` builds only those.
 
-Learning runs on the autodiff tape (``forward_batch``).  Acting runs the
-same composition on plain arrays (``forward_arrays``, behind ``q_values``)
-through the same forward functions, so it gives the same bytes and builds
-no tape node.
+One composition, two op tables: each variant writes its forward once,
+against an op table ``ops``.  Learning runs it on the autodiff tape
+(``forward_batch``, with the ``autodiff`` module as ``ops``); acting runs it
+on plain arrays over every CAV row (``forward_arrays``, behind ``q_values``,
+with ``autodiff.on_arrays``), which gives the same bytes and builds no node.
 
 Parameters are views of one flat buffer, which starts on a 64-byte
 boundary, in a :class:`ParamStore`;
@@ -47,23 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ramplab.autodiff import (
-    Tensor,
-    add,
-    affine,
-    concat_cols,
-    dense,
-    key_mask,
-    layer_norm,
-    layer_norm_rows,
-    matmul,
-    relu,
-    scene_attention,
-    scene_matmul,
-    scene_mix,
-    select_rows,
-    softmax_attention,
-)
+from ramplab import autodiff
+from ramplab.autodiff import Tensor, on_arrays, select_rows
 from ramplab.config import ExperimentConfig, NetworkConfig, ScenarioConfig
 from ramplab.representation import (
     StateBatch,
@@ -221,14 +207,15 @@ def multi_head_attention(
     n_heads: int,
     n_scenes: int = 1,
     alive: np.ndarray | None = None,
+    ops=autodiff,
 ) -> Tensor:
     """Scaled dot-product attention with heads as column blocks of one
     projection, mixed by ``wo``; ``x`` holds ``n_scenes`` equal row blocks
     that attend only within themselves, under the (B, m) key mask ``alive``
     if given (see ``scene_attention``)."""
-    attended = scene_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), n_scenes, n_heads,
-                               alive)
-    return matmul(attended, wo)
+    attended = ops.scene_attention(ops.matmul(x, wq), ops.matmul(x, wk), ops.matmul(x, wv),
+                                   n_scenes, n_heads, alive)
+    return ops.matmul(attended, wo)
 
 
 def transformer_encode(
@@ -237,25 +224,20 @@ def transformer_encode(
     n_heads: int,
     n_scenes: int = 1,
     alive: np.ndarray | None = None,
+    ops=autodiff,
 ) -> Tensor:
     """Embed grid rows and run the blocks: attention, a single residual, then
     a layer-normalised MLP; the last block's output is the encoding.  With
     the key mask ``alive`` (see ``scene_attention``), ``sr`` may hold the
-    active tokens only."""
-    x = dense(sr, params.embed_w, params.embed_b)
+    active tokens only, on the tape."""
+    x = ops.dense(sr, params.embed_w, params.embed_b)
     for blk in params.blocks:
         attended = multi_head_attention(x, blk.wq, blk.wk, blk.wv, blk.wo, n_heads, n_scenes,
-                                        alive)
-        h = add(attended, x)
-        m = dense(relu(dense(h, blk.mlp_w1, blk.mlp_b1)), blk.mlp_w2, blk.mlp_b2)
-        x = layer_norm_rows(m, blk.ln_g, blk.ln_b)
+                                        alive, ops)
+        h = ops.add(attended, x)
+        m = ops.dense(ops.relu(ops.dense(h, blk.mlp_w1, blk.mlp_b1)), blk.mlp_w2, blk.mlp_b2)
+        x = ops.layer_norm_rows(m, blk.ln_g, blk.ln_b)
     return x
-
-
-def active_rows(states: StateBatch, active_only: bool) -> np.ndarray | None:
-    """The scene-major CAV rows a forward runs on: the active ones, or None
-    for every row."""
-    return np.flatnonzero(states.alive) if active_only else None
 
 
 def gcn_normalize(adjacency: np.ndarray) -> np.ndarray:
@@ -275,6 +257,7 @@ def gcn_forward(
     weights: list[Tensor],
     n_cavs: int | None = None,
     rows: np.ndarray | None = None,
+    ops=autodiff,
 ) -> Tensor:
     """Stacked graph convolutions, ReLU after every layer including the last.
 
@@ -283,17 +266,17 @@ def gcn_forward(
     or, given ``n_cavs`` (the CAVs are nodes 0..m-1 of each scene), one row
     per CAV, scene-major, or only the distinct ``rows`` among those.  The
     last layer mixes before it projects, ``relu((E[:m] H) W)``, so only the
-    returned rows are projected."""
+    returned rows are projected.  ``rows`` needs the tape."""
     n = e_norm.shape[-1]
     mixer = e_norm.reshape(-1, n, n)
     h = features
     for w in weights[:-1]:
-        h = relu(scene_matmul(mixer, matmul(h, w)))
+        h = ops.relu(ops.scene_matmul(mixer, ops.matmul(h, w)))
     readout = mixer if n_cavs is None else mixer[:, :n_cavs]
-    mixed = scene_matmul(readout, h)
+    mixed = ops.scene_matmul(readout, h)
     if rows is not None:
         mixed = select_rows(mixed, rows)
-    return relu(matmul(mixed, weights[-1]))
+    return ops.relu(ops.matmul(mixed, weights[-1]))
 
 
 def q_head(
@@ -303,11 +286,12 @@ def q_head(
     b1: Tensor,
     w2: Tensor,
     b2: Tensor,
+    ops=autodiff,
 ) -> Tensor:
     """Per-CAV action values from the scene encoding, optionally joined with
     the graph encoding's row for the same CAV."""
-    fused = x_l if h_graph is None else concat_cols([x_l, h_graph])
-    return dense(relu(dense(fused, w1, b1)), w2, b2)
+    fused = x_l if h_graph is None else ops.concat_cols([x_l, h_graph])
+    return ops.dense(ops.relu(ops.dense(fused, w1, b1)), w2, b2)
 
 
 def flat_rows(stacked: np.ndarray, dtype) -> np.ndarray:
@@ -365,12 +349,6 @@ class QNetwork:
         (None: every vehicle's)."""
         return 0
 
-    def forward_batch(self, states: StateBatch,
-                      active_only: bool = False) -> Tensor:  # pragma: no cover
-        """Q rows for every CAV of every stacked state, scene-major, or with
-        ``active_only`` for the active CAVs alone, in the same order."""
-        raise NotImplementedError
-
     def observe(self, world: WorldState, scenario: ScenarioConfig) -> StateSnapshot:
         """Snapshot of ``world`` in this network's representation, with only
         the feature rows and optional fields its forward reads built."""
@@ -378,10 +356,25 @@ class QNetwork:
                            feature_rows=self.feature_rows(scenario),
                            with_adjacency=self.reads_adjacency)
 
-    def forward_arrays(self, states: StateBatch) -> np.ndarray:  # pragma: no cover
+    def _forward(self, states: StateBatch, rows: np.ndarray | None,
+                 ops) -> Tensor:  # pragma: no cover
+        """The variant's composition, through the op table ``ops``: Q rows
+        for every CAV of every stacked state, scene-major, or for the
+        scene-major CAV ``rows`` alone (the active ones; tape only), in the
+        same order."""
+        raise NotImplementedError
+
+    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
+        """Q rows for every CAV of every stacked state, scene-major, or with
+        ``active_only`` for the active CAVs alone, in the same order, on the
+        tape."""
+        rows = np.flatnonzero(states.alive) if active_only else None
+        return self._forward(states, rows, autodiff)
+
+    def forward_arrays(self, states: StateBatch) -> np.ndarray:
         """``forward_batch(states).data`` on every CAV row, byte for byte,
         computed on plain arrays: no tape node is built."""
-        raise NotImplementedError
+        return self._forward(states, None, on_arrays)
 
     def forward(self, snap: StateSnapshot) -> Tensor:
         """Q rows of one snapshot, as ``forward_batch`` of ``batch_of_one``."""
@@ -397,41 +390,14 @@ class QNetwork:
 
     # -- shared pieces ---------------------------------------------------
 
-    def _encode(self, states: StateBatch, rows: np.ndarray | None) -> Tensor:
+    def _encode(self, states: StateBatch, rows: np.ndarray | None, ops) -> Tensor:
         """Transformer encodings of every CAV row, or of the active ones
-        (``rows``, from ``active_rows``) as the only tokens; inactive CAVs
-        are masked out of every other token's attention."""
+        (``rows``) as the only tokens; inactive CAVs are masked out of every
+        other token's attention."""
         alive = None if states.alive.all() else states.alive
-        return transformer_encode(Tensor(flat_rows(grid_rows(states, rows), self.store.dtype)),
+        return transformer_encode(ops.Tensor(flat_rows(grid_rows(states, rows), self.store.dtype)),
                                   self.transformer, self.net_cfg.n_heads, len(states.alive),
-                                  alive)
-
-    def _encode_arrays(self, states: StateBatch) -> np.ndarray:
-        """``_encode`` of every CAV row on plain arrays (``transformer_encode``
-        without the tape)."""
-        n_scenes, m = states.alive.shape
-        seen = None if states.alive.all() else key_mask(states.alive)
-        t = self.transformer
-        x = affine(flat_rows(grid_rows(states), self.store.dtype),
-                   t.embed_w.data, t.embed_b.data)
-        d = x.shape[1]
-        shape = n_scenes, m, self.net_cfg.n_heads, d // self.net_cfg.n_heads
-
-        def heads(w):  # (B*m, d) -> (B, h, m, d/h)
-            return (x @ w.data).reshape(shape).transpose(0, 2, 1, 3)
-
-        for blk in t.blocks:
-            _, out = softmax_attention(heads(blk.wq), heads(blk.wk), heads(blk.wv), seen)
-            h = out.transpose(0, 2, 1, 3).reshape(-1, d) @ blk.wo.data + x
-            mlp = affine(np.maximum(affine(h, blk.mlp_w1.data, blk.mlp_b1.data), 0),
-                         blk.mlp_w2.data, blk.mlp_b2.data)
-            x = layer_norm(mlp, blk.ln_g.data, blk.ln_b.data)[0]
-        return x
-
-    def _q_head_arrays(self, fused: np.ndarray) -> np.ndarray:
-        """``q_head`` on plain arrays, its inputs already joined."""
-        hidden = np.maximum(affine(fused, self.q_w1.data, self.q_b1.data), 0)
-        return affine(hidden, self.q_w2.data, self.q_b2.data)
+                                  alive, ops)
 
     # -- persistence -----------------------------------------------------
 
@@ -466,25 +432,13 @@ class GitsrNetwork(QNetwork):
     def feature_rows(self, scenario: ScenarioConfig) -> int | None:
         return None
 
-    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
+    def _forward(self, states: StateBatch, rows: np.ndarray | None, ops) -> Tensor:
         dtype = self.store.dtype
-        rows = active_rows(states, active_only)
-        x = self._encode(states, rows)
+        x = self._encode(states, rows, ops)
         e_norm = gcn_normalize(states.adjacency.astype(dtype))
-        h = gcn_forward(Tensor(flat_rows(states.features, dtype)), e_norm, self.gcn_weights,
-                        states.alive.shape[1], rows)
-        return q_head(x, h, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
-
-    def forward_arrays(self, states: StateBatch) -> np.ndarray:
-        dtype = self.store.dtype
-        x = self._encode_arrays(states)
-        mixer = gcn_normalize(states.adjacency.astype(dtype))
-        h = flat_rows(states.features, dtype)
-        for w in self.gcn_weights[:-1]:
-            h = np.maximum(scene_mix(mixer, h @ w.data), 0)
-        readout = scene_mix(mixer[:, :states.alive.shape[1]], h)
-        h = np.maximum(readout @ self.gcn_weights[-1].data, 0)
-        return self._q_head_arrays(np.concatenate([x, h], axis=1))
+        h = gcn_forward(ops.Tensor(flat_rows(states.features, dtype)), e_norm, self.gcn_weights,
+                        states.alive.shape[1], rows, ops)
+        return q_head(x, h, self.q_w1, self.q_b1, self.q_w2, self.q_b2, ops)
 
 
 class TransformerOnlyNetwork(QNetwork):
@@ -494,12 +448,9 @@ class TransformerOnlyNetwork(QNetwork):
     def param_shapes(cls, net_cfg, input_width, feat_width):
         return transformer_shapes(net_cfg, input_width) + qhead_shapes(net_cfg, net_cfg.d_model)
 
-    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
-        x = self._encode(states, active_rows(states, active_only))
-        return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
-
-    def forward_arrays(self, states: StateBatch) -> np.ndarray:
-        return self._q_head_arrays(self._encode_arrays(states))
+    def _forward(self, states: StateBatch, rows: np.ndarray | None, ops) -> Tensor:
+        x = self._encode(states, rows, ops)
+        return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2, ops)
 
 
 class BaselineNetwork(QNetwork):
@@ -528,12 +479,9 @@ class BaselineNetwork(QNetwork):
         x = np.concatenate([own if rows is None else own[rows], grid_rows(states, rows)], axis=1)
         return flat_rows(x, self.store.dtype)
 
-    def forward_batch(self, states: StateBatch, active_only: bool = False) -> Tensor:
-        x = Tensor(self._inputs(states, active_rows(states, active_only)))
-        return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2)
-
-    def forward_arrays(self, states: StateBatch) -> np.ndarray:
-        return self._q_head_arrays(self._inputs(states, None))
+    def _forward(self, states: StateBatch, rows: np.ndarray | None, ops) -> Tensor:
+        x = ops.Tensor(self._inputs(states, rows))
+        return q_head(x, None, self.q_w1, self.q_b1, self.q_w2, self.q_b2, ops)
 
 
 _VARIANTS = {

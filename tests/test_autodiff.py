@@ -463,6 +463,18 @@ def test_graph_nodes_topological_order():
     assert ops == ["leaf", "relu", "sum"]
 
 
+def test_every_array_entry_but_tensor_names_the_tape_op_of_its_name():
+    """A forward written against ``ops`` runs on either table, so each entry
+    of ``on_arrays`` but ``Tensor`` must stand for an autodiff op that
+    builds a node under the same name."""
+    names = set(vars(ad.on_arrays)) - {"Tensor"}
+    assert names
+    for name in sorted(names):
+        op = getattr(ad, name, None)
+        assert callable(op) and op.__name__ == name and op.__module__ == ad.__name__, name
+        assert "_node" in op.__code__.co_names, name
+
+
 def test_tensor_rejects_non_2d():
     with pytest.raises(ValueError):
         ad.Tensor(np.zeros(3))

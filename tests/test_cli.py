@@ -249,6 +249,30 @@ def test_evaluate_negative_episodes_exits_2(trained_run, tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "trace"])
+def test_out_of_the_wrong_kind_exits_2_without_outputs(trained_run, tmp_path, capsys, command):
+    """train writes a run directory at --out, evaluate and trace one file: an
+    existing path of the other kind is an I/O error, reported in one line."""
+    out = tmp_path / "out"
+    if command == "train":
+        out.write_text("kept\n")
+        extra = []
+    else:
+        out.mkdir()
+        extra = ["--checkpoint", str(trained_run["checkpoint"])]
+        extra += ["--episodes", "1"] if command == "evaluate" else []
+    code = main([command, "--config", trained_run["config"], *extra, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [out]
+    if command == "train":
+        assert out.read_text() == "kept\n"
+    else:
+        assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_negative_seed_exits_2_without_outputs(trained_run, tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -372,6 +396,15 @@ LAYOUT_DAMAGE = {
     "gap before an entry":
         lambda m: m["params"][3].update(offset=m["params"][3]["offset"] + 4),
 }
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+def test_checkpoint_blob_that_is_a_directory_exits_2(trained_run, tmp_path, capsys, command):
+    ckpt = damaged_checkpoint(trained_run, tmp_path)
+    (ckpt / "params.bin").unlink()
+    (ckpt / "params.bin").mkdir()
+    err = exits_2_with_one_line_error(command, trained_run, ckpt, tmp_path, capsys)
+    assert "params.bin" in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "trace"])

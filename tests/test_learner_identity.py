@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from _helpers import reference_squared_error
+from ramplab import autodiff
 from ramplab import network as network_module
-from ramplab.autodiff import _node, backward, matmul, no_grad, relu, scene_matmul, select_rows
+from ramplab.autodiff import _node, backward, no_grad, select_rows
 from ramplab.config import ExperimentConfig, TrainingConfig
 from ramplab.network import build_network
 from ramplab.optim import Adam, clip_global_grad_norm
@@ -78,14 +79,14 @@ def reference_train_on_batch(batch, net, target_net, optimizer, gamma):
     return loss.item()
 
 
-def all_nodes_gcn_forward(features, e_norm, weights, n_cavs=None, rows=None):
+def all_nodes_gcn_forward(features, e_norm, weights, n_cavs=None, rows=None, ops=autodiff):
     """Every layer projects every node and then mixes; the CAV rows are
     picked from the last layer's output."""
     n = e_norm.shape[-1]
     mixer = e_norm.reshape(-1, n, n)
     h = features
     for w in weights:
-        h = relu(scene_matmul(mixer, matmul(h, w)))
+        h = ops.relu(ops.scene_matmul(mixer, ops.matmul(h, w)))
     if n_cavs is None:
         return h
     assert rows is None
@@ -151,8 +152,8 @@ def learn(cfg, batches, step, dtype=np.float32):
 def test_learner_is_byte_identical_to_the_reference_formulations(replay, monkeypatch):
     cfg, batches = replay
     net, opt, losses = learn(cfg, batches, train_on_batch)
-    monkeypatch.setattr(network_module, "relu", reference_relu)
-    monkeypatch.setattr(network_module, "layer_norm_rows", reference_layer_norm_rows)
+    monkeypatch.setattr(autodiff, "relu", reference_relu)
+    monkeypatch.setattr(autodiff, "layer_norm_rows", reference_layer_norm_rows)
     monkeypatch.setattr(network_module, "select_rows", reference_select_rows)
     ref_net, ref_opt, ref_losses = learn(cfg, batches, reference_train_on_batch)
     assert losses == ref_losses

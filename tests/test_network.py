@@ -306,16 +306,19 @@ def test_q_values_on_arrays_give_the_bytes_of_the_tape_forward(variant, represen
     assert net.forward_arrays(states).tobytes() == net.forward_batch(states).data.tobytes()
 
 
-def test_no_variant_defines_its_own_q_values():
-    """The benchmark traces QNetwork.q_values; a variant's own would leave
-    its acting forward out of the trace."""
+@pytest.mark.parametrize("method", ["q_values", "forward_batch", "forward_arrays"])
+def test_no_variant_defines_its_own_q_values(method):
+    """The benchmark traces QNetwork.q_values, and each variant writes its
+    forward once, as ``_forward``: a variant's own q_values would leave its
+    acting forward out of the trace, and its own forward_batch or
+    forward_arrays would be a second copy of its composition."""
     classes, found = [QNetwork], []
     while classes:
         cls = classes.pop()
         found.append(cls)
         classes += cls.__subclasses__()
     assert set(network_module._VARIANTS.values()) <= set(found)
-    assert [cls for cls in found[1:] if "q_values" in vars(cls)] == []
+    assert [cls for cls in found[1:] if method in vars(cls)] == []
 
 
 def test_gitsr_tape_size_does_not_grow_with_batch():

@@ -51,3 +51,17 @@ def test_trend_check_reports_a_bad_config_in_one_error_line(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+
+def test_trend_check_reports_an_out_that_is_a_file_in_one_error_line(tmp_path, capsys):
+    """An I/O error (here --out naming a file, not a directory) is the same
+    one ``error:`` line and exit 2, and the file is left as it was."""
+    out = tmp_path / "trend"
+    out.write_text("kept\n")
+    code = load_script().main(["--episodes", "2", "--seeds", "0", "--window", "1",
+                               "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
