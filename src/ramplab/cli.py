@@ -6,12 +6,14 @@ so a bad invocation exits (code 2) without partial outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import json
 import sys
 import traceback
+import uuid
 from pathlib import Path
 
 from ramplab.config import (
@@ -21,17 +23,17 @@ from ramplab.config import (
     ExperimentConfig,
     load_experiment_config,
 )
-from ramplab.network import CheckpointError, QNetwork, TrainingError, network_from_checkpoint
+from ramplab.network import CheckpointError, TrainingError, network_from_checkpoint, network_meta
 from ramplab.representation import feature_width, grid_width
 from ramplab.runs import (
     SUMMARY_METRICS,
     SUMMARY_WINDOW,
+    MetricsWriter,
     keep_freed_heap,
     metric_value,
     summarize_final_window,
     train_cell,
     write_json,
-    write_metrics_csv,
     write_run_info,
 )
 from ramplab.simulation import TRACE_FIELDS, reset, trace_rows
@@ -72,23 +74,40 @@ def _load_config(args, apply_episodes: bool = True) -> ExperimentConfig:
     return cfg
 
 
-def _check_net_matches(net: QNetwork, cfg: ExperimentConfig) -> None:
-    expected_width = grid_width(cfg.scenario, cfg.representation)
-    problems = []
-    if net.variant != cfg.model_variant:
-        problems.append(f"variant {net.variant!r} vs config {cfg.model_variant!r}")
-    if net.representation != cfg.representation:
-        problems.append(f"representation {net.representation!r} vs config {cfg.representation!r}")
-    if net.input_width != expected_width:
-        problems.append(f"grid width {net.input_width} vs config {expected_width}")
-    if net.feat_width != feature_width(cfg.scenario):
-        problems.append(f"feature width {net.feat_width} vs config {feature_width(cfg.scenario)}")
-    for field in dataclasses.fields(cfg.network):
-        saved, wanted = getattr(net.net_cfg, field.name), getattr(cfg.network, field.name)
-        if saved != wanted:
-            problems.append(f"network.{field.name} {saved} vs config {wanted}")
+def _check_net_matches(meta: dict, cfg: ExperimentConfig) -> None:
+    widths = grid_width(cfg.scenario, cfg.representation), feature_width(cfg.scenario)
+    wanted = network_meta(cfg.model_variant, cfg.representation, *widths, cfg.network)
+    problems = list(_meta_diff(meta, wanted))
     if problems:
         raise CheckpointError("checkpoint does not fit config: " + "; ".join(problems))
+
+
+def _meta_diff(saved: dict, wanted: dict, prefix: str = ""):
+    """``<key> <saved> vs config <wanted>`` for each leaf ``saved`` differs in."""
+    for key, value in wanted.items():
+        if isinstance(value, dict):
+            yield from _meta_diff(saved[key], value, f"{prefix}{key}.")
+        elif saved[key] != value:
+            yield f"{prefix}{key} {saved[key]!r} vs config {value!r}"
+
+
+@contextlib.contextmanager
+def _output_file(path: Path):
+    """A text file open for writing that replaces ``path`` only if the block
+    completes.  It is a sibling temporary file, opened before the block runs,
+    so an output that cannot be written fails before any work is done, and a
+    block that fails leaves nothing behind and any file at ``path`` as it was."""
+    if path.is_dir():
+        raise IsADirectoryError(f"output file {path} is a directory")
+    staging = path.with_name(f".{path.name}.{uuid.uuid4().hex}")
+    fh = open(staging, "w", newline="")
+    try:
+        with fh:
+            yield fh
+        staging.replace(path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
 
 
 def cmd_train(args) -> int:
@@ -107,11 +126,13 @@ def cmd_evaluate(args) -> int:
     if n_episodes < 0:
         raise ConfigError(f"--episodes must be non-negative, got {n_episodes}")
     net = network_from_checkpoint(args.checkpoint)
-    _check_net_matches(net, cfg)
+    _check_net_matches(net.meta(), cfg)
     seed = args.seed if args.seed is not None else 0
-    rows = evaluate_policy(net, cfg, n_episodes, seed)
-    out_path = Path(args.out or "evaluation.csv")
-    write_metrics_csv(out_path, rows)
+    with _output_file(Path(args.out or "evaluation.csv")) as fh:
+        writer = MetricsWriter(fh)
+        rows = evaluate_policy(net, cfg, n_episodes, seed)
+        for m in rows:
+            writer.write(m)
     aggregate = {"episodes": n_episodes}
     if rows:
         for name in SUMMARY_METRICS:
@@ -168,7 +189,7 @@ def cmd_ablate(args) -> int:
 def cmd_trace(args) -> int:
     cfg = _load_config(args)
     net = network_from_checkpoint(args.checkpoint)
-    _check_net_matches(net, cfg)
+    _check_net_matches(net.meta(), cfg)
     seed = args.seed if args.seed is not None else 0
 
     world = reset(cfg.scenario, seed)
@@ -191,9 +212,9 @@ def cmd_trace(args) -> int:
                 "r_total": repr(reward.total) if i == 0 else "",
             })
 
-    return_total, *_ = rollout(world, cfg, net, functools.partial(greedy_actions, net), record)
     out_path = Path(args.out or "trace.csv")
-    with open(out_path, "w", newline="") as fh:
+    with _output_file(out_path) as fh:
+        return_total, *_ = rollout(world, cfg, net, functools.partial(greedy_actions, net), record)
         writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
         writer.writeheader()
         writer.writerows(all_rows)

@@ -30,10 +30,11 @@ against an op table ``ops``.  Learning runs it on the autodiff tape
 on plain arrays over every CAV row (``forward_arrays``, behind ``q_values``,
 with ``autodiff.on_arrays``), which gives the same bytes and builds no node.
 
-Parameters are views of one flat buffer, which starts on a 64-byte
-boundary, in a :class:`ParamStore`;
-checkpoints are a JSON manifest plus that buffer as a little-endian float32
-blob, and round-trip bit-exactly.
+Parameters are views of one flat buffer, which starts on a 64-byte boundary,
+in a :class:`ParamStore`.  A checkpoint is an array store (``save_arrays``,
+``load_arrays``): a JSON manifest plus that buffer as one little-endian
+float32 blob, entries back to back from offset 0 in store order; a load
+refuses any other layout and a missing blob, and round-trips bit-exactly.
 """
 from __future__ import annotations
 
@@ -126,14 +127,14 @@ class ParamStore:
             raise ValueError("parameter stores do not describe the same network")
         self.buffer[...] = other.buffer
 
-    def non_finite(self) -> str | None:
-        """The first parameter holding a NaN or an infinity, or None; the
-        parameters are searched only when the buffer holds one."""
+    def check_finite(self, message: str) -> None:
+        """``CheckpointError`` of ``message`` and the first parameter holding a
+        NaN or an infinity, if any; they are searched only if the buffer holds one."""
         # min and max propagate NaN, so both are finite exactly when every
         # value is, and neither makes an array the size of the buffer
-        if math.isfinite(self.buffer.min()) and math.isfinite(self.buffer.max()):
-            return None
-        return next(name for name, t in self.params.items() if not np.isfinite(t.data).all())
+        if not (math.isfinite(self.buffer.min()) and math.isfinite(self.buffer.max())):
+            bad = next(name for name, t in self.params.items() if not np.isfinite(t.data).all())
+            raise CheckpointError(f"{message} {bad!r}")
 
     def check_finite_grads(self) -> None:
         for name, tensor in self.params.items():
@@ -402,13 +403,8 @@ class QNetwork:
     # -- persistence -----------------------------------------------------
 
     def meta(self) -> dict:
-        return {
-            "variant": self.variant,
-            "representation": self.representation,
-            "input_width": self.input_width,
-            "feature_width": self.feat_width,
-            "network": dataclasses.asdict(self.net_cfg),
-        }
+        return network_meta(self.variant, self.representation, self.input_width,
+                            self.feat_width, self.net_cfg)
 
     def clone(self) -> "QNetwork":
         buffer = aligned_empty(len(self.store.buffer), self.store.dtype)
@@ -513,30 +509,24 @@ MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
 
 
-def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
-    """Write a manifest plus the parameter buffer as one little-endian
-    float32 blob.  Refuses (``CheckpointError``, nothing written) a network
-    with a non-finite value.
-
-    Both files are written into a sibling temporary directory that is then
-    renamed into place, so a failed save leaves any previous checkpoint at
-    ``directory`` whole."""
+def save_arrays(directory: str | Path, meta: dict, shapes: list, buffer: np.ndarray) -> None:
+    """Write ``meta`` and ``shapes`` as a manifest and the flat ``buffer``,
+    laid out as ``param_views`` lays out ``shapes``, as one little-endian
+    blob.  Both go into a sibling temporary directory that is then renamed
+    into place, so a failed save leaves any previous store whole."""
     directory = Path(directory)
-    store = net.store
-    bad = store.non_finite()
-    if bad is not None:
-        raise CheckpointError(f"refusing to save non-finite values in parameter {bad!r}")
+    dtype = buffer.dtype.newbyteorder("<")
     entries, offset = [], 0
-    for name, shape in store.shapes:
+    for name, shape in shapes:
         entries.append({"name": name, "shape": list(shape), "offset": offset})
-        offset += 4 * math.prod(shape)
-    manifest = {"format": 1, "dtype": "<f4", "meta": net.meta(), "params": entries}
+        offset += dtype.itemsize * math.prod(shape)
+    manifest = {"format": 1, "dtype": dtype.str, "meta": meta, "params": entries}
     directory.parent.mkdir(parents=True, exist_ok=True)
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     retired = staging.with_name(staging.name + ".old")
     staging.mkdir()
     try:
-        (staging / BLOB_NAME).write_bytes(store.buffer.astype("<f4", copy=False))
+        (staging / BLOB_NAME).write_bytes(buffer.astype(dtype, copy=False))
         (staging / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
         if directory.exists():
             # a rename cannot replace a non-empty directory: move the old one aside
@@ -544,46 +534,25 @@ def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
         staging.rename(directory)
     except BaseException:
         if retired.exists() and not directory.exists():
-            retired.rename(directory)   # the final rename failed: restore the old checkpoint
+            retired.rename(directory)   # the final rename failed: restore the old store
         shutil.rmtree(staging, ignore_errors=True)
         raise
     shutil.rmtree(retired, ignore_errors=True)
 
 
-def _architecture(meta: dict, n_params: int) -> tuple[type[QNetwork], NetworkConfig, str,
-                                                      tuple[int, int]]:
-    """The variant, network sizes, representation and widths that checkpoint
-    metadata names, for a manifest of ``n_params`` parameters."""
-    try:
-        cls = _VARIANTS[meta["variant"]]
-        net_cfg = NetworkConfig(**meta["network"])
-        widths = meta["input_width"], meta["feature_width"]
-        if not all(type(size) is int for size in (*widths, *dataclasses.astuple(net_cfg))):
-            raise TypeError("widths and network sizes must be integers")
-        net_cfg.validate()
-        if max(net_cfg.n_blocks, net_cfg.gcn_layers) > n_params:
-            raise ValueError(f"{n_params} parameters cannot hold {net_cfg.n_blocks} blocks "
-                             f"and {net_cfg.gcn_layers} graph layers")
-        return cls, net_cfg, meta["representation"], widths
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"unusable checkpoint metadata: {exc}") from exc
-
-
-def read_checkpoint(directory: str | Path) -> tuple[dict, list[tuple[str, tuple]], np.ndarray]:
-    """The metadata, parameter shapes and flat parameter buffer of the
-    checkpoint at ``directory``: one fresh ``aligned_empty`` array read from
-    the blob in the manifest's dtype, laid out in ``param_views`` order.
-
-    The manifest must list the parameters of the architecture its metadata
-    names, with their shapes, in store order and back to back from offset 0,
-    as ``save_checkpoint`` writes them, and the blob must hold them all; only
-    then is the array allocated.  Anything else is a ``CheckpointError``."""
+def load_arrays(directory: str | Path, expected) -> tuple[dict, list, np.ndarray]:
+    """The metadata, shapes and flat buffer (one fresh ``aligned_empty`` array
+    in the manifest's dtype, in ``param_views`` layout) of the store at
+    ``directory``.  The manifest must list the shapes that the hook
+    ``expected(meta, n_entries)`` names, back to back from offset 0 in that
+    order as ``save_arrays`` writes them, and the blob must be a file holding
+    them all; only then is the array allocated.  Else: ``CheckpointError``."""
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise CheckpointError(f"no checkpoint manifest at {manifest_path}")
+    for name in (MANIFEST_NAME, BLOB_NAME):
+        if not (directory / name).is_file():
+            raise CheckpointError(f"no checkpoint file {directory / name}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint manifest: {exc}") from exc
     try:
@@ -591,8 +560,7 @@ def read_checkpoint(directory: str | Path) -> tuple[dict, list[tuple[str, tuple]
         dtype = np.dtype(manifest["dtype"])
         if dtype.kind != "f":
             raise TypeError(f"parameter dtype {dtype} is not floating point")
-        cls, net_cfg, _, widths = _architecture(meta, len(entries))
-        wanted = cls.param_shapes(net_cfg, *widths)
+        wanted = expected(meta, len(entries))
         given = {entry["name"]: tuple(entry["shape"]) for entry in entries}
         stored = [(entry["name"], entry["offset"]) for entry in entries]
         shapes = dict(wanted)
@@ -600,7 +568,7 @@ def read_checkpoint(directory: str | Path) -> tuple[dict, list[tuple[str, tuple]
             name = next(n for n in [*shapes, *sorted(given.keys() - shapes.keys())]
                         if given.get(n) != shapes.get(n))
             raise CheckpointError(f"checkpoint metadata does not fit its parameters: {name!r} is "
-                                  f"{given.get(name)} given, {shapes.get(name)} by the architecture")
+                                  f"{given.get(name)} given, {shapes.get(name)} expected")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest: {type(exc).__name__}: {exc}") from exc
     offset = 0
@@ -620,24 +588,60 @@ def read_checkpoint(directory: str | Path) -> tuple[dict, list[tuple[str, tuple]
     return meta, wanted, buffer
 
 
+def network_meta(variant: str, representation: str, input_width: int, feat_width: int,
+                 net_cfg: NetworkConfig) -> dict:
+    """The checkpoint metadata of a network: what ``_architecture`` reads."""
+    return {
+        "variant": variant,
+        "representation": representation,
+        "input_width": input_width,
+        "feature_width": feat_width,
+        "network": dataclasses.asdict(net_cfg),
+    }
+
+
+def save_checkpoint(directory: str | Path, net: QNetwork) -> None:
+    """Save ``net`` as a float32 store; refuses (``CheckpointError``, nothing
+    written) a network with a non-finite value."""
+    net.store.check_finite("refusing to save non-finite values in parameter")
+    save_arrays(directory, net.meta(), net.store.shapes, net.store.buffer.astype("f4", copy=False))
+
+
+def _architecture(meta: dict, n_params: int) -> tuple[type[QNetwork], NetworkConfig, str,
+                                                      tuple[int, int], list[tuple[str, tuple]]]:
+    """The variant, network sizes, representation, widths and parameter shapes
+    that checkpoint metadata names, for a manifest of ``n_params`` entries."""
+    try:
+        cls = _VARIANTS[meta["variant"]]
+        net_cfg = NetworkConfig(**meta["network"])
+        widths = meta["input_width"], meta["feature_width"]
+        if not all(type(size) is int for size in (*widths, *dataclasses.astuple(net_cfg))):
+            raise TypeError("widths and network sizes must be integers")
+        net_cfg.validate()
+        if max(net_cfg.n_blocks, net_cfg.gcn_layers) > n_params:
+            raise ValueError(f"{n_params} parameters cannot hold {net_cfg.n_blocks} blocks "
+                             f"and {net_cfg.gcn_layers} graph layers")
+        return cls, net_cfg, meta["representation"], widths, cls.param_shapes(net_cfg, *widths)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"unusable checkpoint metadata: {exc}") from exc
+
+
 def load_checkpoint(directory: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """The metadata and parameters of the checkpoint at ``directory``, one
-    view per parameter of the buffer ``read_checkpoint`` reads."""
-    meta, shapes, buffer = read_checkpoint(directory)
+    view per parameter of the buffer ``load_arrays`` reads."""
+    meta, shapes, buffer = load_arrays(directory, lambda meta, n: _architecture(meta, n)[-1])
     return meta, param_views(shapes, buffer)
 
 
 def network_from_checkpoint(directory: str | Path) -> QNetwork:
     """Rebuild the saved architecture in float32 around the array that
-    ``read_checkpoint`` reads (cast into a new one if stored in another
+    ``load_arrays`` reads (cast into a new one if stored in another
     dtype), whose values must be finite."""
-    meta, shapes, buffer = read_checkpoint(directory)
-    cls, net_cfg, representation, widths = _architecture(meta, len(shapes))
+    meta, shapes, buffer = load_arrays(directory, lambda meta, n: _architecture(meta, n)[-1])
+    cls, net_cfg, representation, widths, _ = _architecture(meta, len(shapes))
     if buffer.dtype != np.float32:
         stored, buffer = buffer, aligned_empty(len(buffer), np.float32)
         buffer[...] = stored
     net = cls(net_cfg, representation, *widths, buffer)
-    bad = net.store.non_finite()
-    if bad is not None:
-        raise CheckpointError(f"non-finite values in parameter {bad!r}")
+    net.store.check_finite("non-finite values in parameter")
     return net

@@ -64,34 +64,17 @@ def package_content_hash() -> str:
 
 
 class MetricsWriter:
-    """Streaming per-episode CSV writer, flushed after every row."""
+    """Streaming per-episode CSV writer on an open file, flushed after every row."""
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = open(self.path, "w", newline="")
-        self._writer = csv.writer(self._fh)
+    def __init__(self, fh):
+        self._fh = fh
+        self._writer = csv.writer(fh)
         self._writer.writerow(METRICS_COLUMNS)
-        self._fh.flush()
+        fh.flush()
 
     def write(self, metrics: EpisodeMetrics) -> None:
         self._writer.writerow(metrics_csv_row(metrics))
         self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-def write_metrics_csv(path: str | Path, rows: list[EpisodeMetrics]) -> None:
-    with MetricsWriter(path) as writer:
-        for row in rows:
-            writer.write(row)
 
 
 def metric_value(m: EpisodeMetrics, name: str) -> float:
@@ -202,7 +185,8 @@ def train_cell(cfg: ExperimentConfig, out_dir: str | Path) -> dict[int, list[Epi
         trainer = Trainer(cfg, seed)
         rows = per_seed[seed] = []
         t0 = time.perf_counter()
-        with MetricsWriter(seed_dir / "metrics.csv") as writer:
+        with open(seed_dir / "metrics.csv", "w", newline="") as fh:
+            writer = MetricsWriter(fh)
 
             def on_episode(m: EpisodeMetrics) -> None:
                 writer.write(m)

@@ -21,7 +21,7 @@ from _helpers import scenario, small_experiment, tiny_network
 from ramplab.cli import TRACE_COLUMNS, main
 from ramplab.config import MODEL_VARIANTS, REPRESENTATIONS
 from ramplab.network import build_network, save_checkpoint
-from ramplab import runs
+from ramplab import runs, trainer
 from ramplab.runs import HEAP_SETTINGS, blas_threads, keep_freed_heap, write_run_info
 from ramplab.simulation import ActionCommand, reset, step
 from ramplab.trainer import METRICS_COLUMNS, Trainer
@@ -439,6 +439,53 @@ def test_finite_weights_whose_q_values_overflow_exit_2(trained_run, tmp_path, ca
     with np.errstate(over="ignore", invalid="ignore"):
         err = exits_2_with_one_line_error(command, trained_run, ckpt, tmp_path, capsys)
     assert "non-finite Q values" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+@pytest.mark.parametrize("where", ["an existing directory", "a missing directory"])
+def test_unwritable_out_exits_2_before_any_rollout(trained_run, tmp_path, capsys, monkeypatch,
+                                                   command, where):
+    rollouts = []
+    real_rollout = trainer.rollout
+
+    def counted(*args, **kwargs):
+        rollouts.append(command)
+        return real_rollout(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "rollout", counted)       # evaluate_policy's
+    monkeypatch.setattr("ramplab.cli.rollout", counted)    # trace's
+    out = tmp_path / "out"
+    if where == "an existing directory":
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "out.csv"
+    episodes = ["--episodes", "40"] if command == "evaluate" else []
+    code = main([command, "--config", trained_run["config"],
+                 "--checkpoint", str(trained_run["checkpoint"]), *episodes, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert rollouts == []
+    assert list(tmp_path.iterdir()) == ([out] if out.parent == tmp_path else [])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+def test_failed_run_leaves_the_file_at_out_as_it_was(trained_run, tmp_path, capsys, command):
+    """A run that fails part-way (its Q values overflow) leaves an existing
+    output file untouched and no temporary file beside it."""
+    ckpt = damaged_checkpoint(trained_run, tmp_path)
+    blob = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype="<f4") * np.float32(1e30)
+    (ckpt / "params.bin").write_bytes(blob.astype("<f4").tobytes())
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    episodes = ["--episodes", "1"] if command == "evaluate" else []
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([command, "--config", trained_run["config"], "--checkpoint", str(ckpt),
+                     *episodes, "--out", str(out)])
+    assert code == 2
+    assert "non-finite Q values" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "out.csv"]
 
 
 def untrained_checkpoint(variant, root):

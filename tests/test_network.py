@@ -29,10 +29,12 @@ from ramplab.network import (
     build_network,
     gcn_forward,
     gcn_normalize,
+    load_arrays,
     load_checkpoint,
     multi_head_attention,
     network_from_checkpoint,
     q_head,
+    save_arrays,
     save_checkpoint,
     transformer_encode,
 )
@@ -858,3 +860,54 @@ def test_checkpoint_rejects_mismatched_architecture(tmp_path):
 def test_checkpoint_missing_file_raises(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize("blob", ["missing", "a directory"])
+@pytest.mark.parametrize("load", [load_checkpoint, network_from_checkpoint])
+def test_checkpoint_without_a_blob_file_raises(blob, load, tmp_path):
+    save_checkpoint(tmp_path, build_network(small_experiment(), seed=3))
+    (tmp_path / "params.bin").unlink()
+    if blob == "a directory":
+        (tmp_path / "params.bin").mkdir()
+    with pytest.raises(CheckpointError, match="params.bin"):
+        load(tmp_path)
+
+
+# a store that is not a network: the store knows nothing of architectures
+STORE_META = {"kind": "moments", "step": 7}
+STORE_SHAPES = [("m", (3, 5)), ("v", (1, 4))]
+
+
+def test_array_store_round_trips_a_non_network_store(tmp_path):
+    buffer = np.random.default_rng(0).normal(size=19).astype(np.float32)
+    save_arrays(tmp_path / "store", STORE_META, STORE_SHAPES, buffer)
+    meta, shapes, loaded = load_arrays(tmp_path / "store", lambda meta, n_entries: STORE_SHAPES)
+    assert meta == STORE_META
+    assert shapes == STORE_SHAPES
+    assert loaded.dtype == np.float32 and loaded.tobytes() == buffer.tobytes()
+    assert loaded.ctypes.data % 64 == 0
+    assert (tmp_path / "store" / "params.bin").read_bytes() == buffer.astype("<f4").tobytes()
+
+
+@pytest.mark.parametrize("other", [[("m", (3, 5))],
+                                   [("m", (3, 5)), ("v", (4, 1))],
+                                   [("v", (1, 4)), ("m", (3, 5))],
+                                   [("m", (3, 5)), ("v", (1, 4)), ("t", (1, 1))]])
+def test_array_store_refuses_another_expected_set(other, tmp_path):
+    save_arrays(tmp_path, STORE_META, STORE_SHAPES, np.zeros(19, np.float32))
+    with pytest.raises(CheckpointError):
+        load_arrays(tmp_path, lambda meta, n_entries: other)
+
+
+# sha256 of the two files save_checkpoint writes for the small gitsr network
+# at seed 0: pins the checkpoint format, manifest bytes included
+CHECKPOINT_FILES = {
+    "manifest.json": "3323e4760e75a0930b27ac3792519dff73989abc77474a0cd7a0b0574e223396",
+    "params.bin": "ad36d0af56ef1ce58c22ec5a50af248291a9ad8a9af5253296f1a81b3d2ac7a3",
+}
+
+
+def test_checkpoint_files_are_pinned(tmp_path):
+    save_checkpoint(tmp_path, build_network(small_experiment(model_variant="gitsr"), seed=0))
+    for name, digest in CHECKPOINT_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
